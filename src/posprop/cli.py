@@ -11,7 +11,7 @@ import sys
 from collections import Counter
 
 from .formula import (Fragment, ParseError, fragment_of, parse, pretty)
-from .kernel import (AxiomStep, CalculusId, CheckError, check)
+from .kernel import (AxiomStep, CalculusId, CheckError, check, verify)
 from .kalmar import NotTautology, prove
 from .proofio import ProofFormatError, read_text, to_json, write_text
 from .semantics import find_countermodel, format_assignment
@@ -28,6 +28,32 @@ def _parse_formula(text: str):
         return parse(text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        sys.exit(2)
+
+
+def _read_proof(path: str):
+    """The derivation in a proof file; exits 2 if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return read_text(fh.read())
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except (ProofFormatError, ParseError, UnicodeDecodeError) as exc:
+        print(f"malformed proof file: {exc}", file=sys.stderr)
+    sys.exit(2)
+
+
+def _emit(text: str, out) -> None:
+    """Write text to the --out path, or to stdout without one; exits 2 if
+    the file cannot be written."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
 
 
@@ -54,27 +80,14 @@ def _cmd_prove(args) -> int:
     except TacticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = write_text(d) if args.format == "text" else to_json(d)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(write_text(d) if args.format == "text" else to_json(d), args.out)
     print(f"proved {pretty(d.conclusion)} in {calculus} ({len(d)} steps)",
           file=sys.stderr)
     return 0
 
 
 def _cmd_check(args) -> int:
-    try:
-        with open(args.path) as fh:
-            d = read_text(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ProofFormatError, ParseError) as exc:
-        print(f"malformed proof file: {exc}", file=sys.stderr)
-        return 2
+    d = _read_proof(args.path)
     errors = check(d)
     if errors:
         for e in errors:
@@ -97,26 +110,13 @@ def _cmd_tautology(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    try:
-        with open(args.path) as fh:
-            d = read_text(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ProofFormatError, ParseError) as exc:
-        print(f"malformed proof file: {exc}", file=sys.stderr)
-        return 2
+    d = _read_proof(args.path)
     try:
         out = translate_derivation(d)
     except (TacticError, CheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = write_text(out)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(write_text(out), args.out)
     print(f"translated to {len(out)} steps in I", file=sys.stderr)
     return 0
 
@@ -142,6 +142,8 @@ def _cmd_decompose(args) -> int:
     try:
         dec = (decompose_to_implicative(f) if args.mode == "implicative"
                else decompose(f))
+        verify(dec.equivalence.forward)
+        verify(dec.equivalence.backward)
     except (TacticError, CheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -175,15 +177,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    try:
-        with open(args.path) as fh:
-            d = read_text(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ProofFormatError, ParseError) as exc:
-        print(f"malformed proof file: {exc}", file=sys.stderr)
-        return 2
+    d = _read_proof(args.path)
     by_scheme = Counter(str(s.scheme) for s in d.steps if isinstance(s, AxiomStep))
     print(f"calculus: {d.calculus}")
     print(f"steps: {len(d)}")

@@ -6,6 +6,10 @@ derive the formula's positive encoding (when true) or negative encoding
 recursion (the lemma_3_* / lemma_4_* constructors below), then the
 per-assignment proofs are merged by eliminating atoms pairwise, least
 first in the order R, via the deduction theorem and case analysis.
+
+The constructors, build_line and eliminate return unchecked derivations;
+prove and derive_from_hypotheses run the kernel checker once on their
+result.
 """
 
 from __future__ import annotations
@@ -222,7 +226,8 @@ def lemma_4_2(v: dict, a: Formula, bf: Formula, da: Derivation):
 
 def build_line(v: dict, a: Formula, calc: CalculusId) -> LineCertificate:
     """The per-assignment certificate: from the true atoms of a, derive the
-    positive encoding of a (if v makes a true) or the negative one."""
+    positive encoding of a (if v makes a true) or the negative one.  The
+    certificate's derivation is unchecked."""
     if calc not in (CalculusId.ID, CalculusId.P):
         raise TacticError(f"line construction runs in ID or P, not {calc}")
     if not calc.fragment.admits(a):
@@ -268,7 +273,7 @@ def build_line(v: dict, a: Formula, calc: CalculusId) -> LineCertificate:
 
     raw = rec(a)
     gamma = gamma_set(v, a)
-    d = verify(Derivation(calc, gamma, raw.steps))  # hypotheses exactly Gamma
+    d = Derivation(calc, gamma, raw.steps)  # hypotheses exactly Gamma
     truth = evaluate(v, a)
     expected = (pos_encode(delta_set(v, a), a) if truth
                 else neg_encode(delta_set(v, a), a))
@@ -299,6 +304,7 @@ def eliminate(a: Formula, atom_set, leaves: dict,
     Recursion peels the R-least atom B: for each sub-partition, the
     B-true branch is discharged by DT to B -> (J*)^a, the B-false branch
     already concludes B v (J*)^a, and the two resolve by the 2.18 schema.
+    The result is unchecked.
     """
     atom_set = frozenset(atom_set)
     ordered = r_sorted(atom_set)
@@ -316,7 +322,7 @@ def eliminate(a: Formula, atom_set, leaves: dict,
                     f"leaf for true-set {sorted(x.index for x in h)} concludes "
                     f"{d.conclusion}, expected {expected}")
             # re-declare hypotheses as exactly H (required by the DT peel)
-            current[h] = verify(Derivation(calc, h, d.steps))
+            current[h] = Derivation(calc, h, d.steps)
 
     remaining = list(ordered)
     while remaining:
@@ -330,8 +336,6 @@ def eliminate(a: Formula, atom_set, leaves: dict,
                 x = pos_encode(j_star, a)
                 d_true = current[h_star | {b1}]
                 d_false = current[h_star]           # concludes b1 v x
-                # d_true was verified when (re)declared above; skip the
-                # deduction wrapper's re-check
                 discharged = _deduction_body(d_true, b1)  # b1 -> x
                 b = ProofBuilder(calc)
                 i_false = b.include(d_false)
@@ -345,8 +349,8 @@ def eliminate(a: Formula, atom_set, leaves: dict,
 
 
 def prove(a: Formula, calc: CalculusId) -> Derivation:
-    """Closed derivation of a tautology a in ID or P (the direct route);
-    raises NotTautology with the first countermodel otherwise."""
+    """Checked closed derivation of a tautology a in ID or P (the direct
+    route); raises NotTautology with the first countermodel otherwise."""
     if calc not in (CalculusId.ID, CalculusId.P):
         raise TacticError(f"direct synthesis runs in ID or P, not {calc}")
     if not calc.fragment.admits(a):
@@ -362,12 +366,12 @@ def prove(a: Formula, calc: CalculusId) -> Derivation:
             h = frozenset(combo)
             v = {atom.index: (atom in h) for atom in ordered}
             leaves[h] = build_line(v, a, calc).derivation
-    return eliminate(a, atom_set, leaves, calc)
+    return verify(eliminate(a, atom_set, leaves, calc))
 
 
 def derive_from_hypotheses(hyps, a: Formula, calc: CalculusId) -> Derivation:
-    """K ⊢ a whenever K semantically entails a: prove the implication chain
-    over K, then peel it by MP against each hypothesis."""
+    """Checked K ⊢ a whenever K semantically entails a: prove the
+    implication chain over K, then peel it by MP against each hypothesis."""
     hyps = list(hyps)
     for f in hyps + [a]:
         if not calc.fragment.admits(f):
@@ -385,4 +389,4 @@ def derive_from_hypotheses(hyps, a: Formula, calc: CalculusId) -> Derivation:
     cur = b.include(closed)
     for h in hyps:
         cur = b.mp(cur, b.hyp(h))
-    return b.build(conclusion=cur, hypotheses=set(hyps))
+    return verify(b.build(conclusion=cur, hypotheses=set(hyps)))

@@ -104,7 +104,10 @@ def to_json(d: Derivation) -> str:
 
 
 def from_json(text: str) -> Derivation:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ProofFormatError(f"not a JSON document: {exc}") from exc
     try:
         calculus = _CALCULI[doc["calculus"]]
         hyps = frozenset(parse(h) for h in doc["hypotheses"])
@@ -120,4 +123,6 @@ def from_json(text: str) -> Derivation:
                 raise ProofFormatError(f"unknown step kind {s['kind']!r}")
     except (KeyError, TypeError) as exc:
         raise ProofFormatError(f"malformed proof document: {exc}") from exc
+    if not steps:
+        raise ProofFormatError("no steps")
     return Derivation(calculus, hyps, tuple(steps))

@@ -1,11 +1,14 @@
 """Proof-producing tactics: the deduction theorem, substitution of
 equivalents, the lemma schemata library, and conjunction assembly.
 
-Nothing here is trusted: every exit point runs the kernel checker.  The
-central tool is ProofBuilder, which accumulates steps, deduplicates lines
-by formula (a sound peephole: an identical earlier line under the same
-hypotheses proves the same thing), and splices existing derivations with
-index re-offsetting.
+Nothing here is trusted, and nothing here checks what it builds: the
+combinators and lemma constructors return unchecked derivations, and the
+public entry points (`lemma` here, the provers in kalmar and transform)
+run the kernel checker once on their result.  `deduction` also checks the
+caller's derivation on the way in.  The central tool is ProofBuilder,
+which accumulates steps, deduplicates lines by formula (a sound peephole:
+an identical earlier line under the same hypotheses proves the same
+thing), and splices existing derivations with index re-offsetting.
 """
 
 from __future__ import annotations
@@ -80,18 +83,16 @@ class ProofBuilder:
 
     def build(self, conclusion: int = None, hypotheses=None,
               prune: bool = False) -> Derivation:
-        """Freeze into a checked derivation.  If the conclusion line is not
-        last (the dedup cache can cause that), its step is repeated at the
-        end.  Hypotheses default to the cited ones.  With prune=True, steps
-        the conclusion does not cite are dropped before checking."""
+        """Freeze into an unchecked derivation.  If the conclusion line is
+        not last (the dedup cache can cause that), its step is repeated at
+        the end.  Hypotheses default to the cited ones.  With prune=True,
+        steps the conclusion does not cite are dropped."""
         if conclusion is not None and conclusion != len(self.steps) - 1:
             self.steps.append(self.steps[conclusion])
         if hypotheses is None:
             hypotheses = {s.formula for s in self.steps if isinstance(s, HypStep)}
         d = Derivation(self.calculus, frozenset(hypotheses), tuple(self.steps))
-        if prune:
-            d = _prune(d)
-        return verify(d)
+        return _prune(d) if prune else d
 
 
 def _identity(b: ProofBuilder, a: Formula) -> int:
@@ -126,7 +127,8 @@ def deduction(d: Derivation, a: Formula) -> Derivation:
 
     Line-by-line: an axiom or other hypothesis b becomes b, Ax1, MP to get
     a -> b; the hypothesis a itself becomes the identity proof of a -> a;
-    an MP step is simulated with Ax2.
+    an MP step is simulated with Ax2.  The kernel checks d on the way in,
+    so a bad input raises CheckError; the result is not checked again.
     """
     if a not in d.hypotheses:
         raise TacticError(f"{a} is not a hypothesis of the derivation")
@@ -135,8 +137,8 @@ def deduction(d: Derivation, a: Formula) -> Derivation:
 
 
 def _deduction_body(d: Derivation, a: Formula) -> Derivation:
-    """The line-by-line transformation, assuming d already verified and
-    a in d.hypotheses (callers that just verified d skip the re-check)."""
+    """The line-by-line transformation, for a in d.hypotheses.  Neither d
+    nor the result is checked: package code checks at its boundary."""
     b = ProofBuilder(d.calculus)
     lifted = {}  # old index -> line proving a -> (old formula)
     for i, step in enumerate(d.steps):
@@ -160,7 +162,7 @@ def _discharge(d: Derivation, a: Formula) -> Derivation:
     hypotheses (degenerate template instantiations can collapse two
     intended hypotheses into one), weaken the conclusion via Ax1 instead."""
     if a in d.hypotheses:
-        return deduction(d, a)
+        return _deduction_body(d, a)
     b = ProofBuilder(d.calculus)
     base = b.include(d)
     ax1 = b.axiom(SchemeId.AX1, A=d.conclusion, B=a)
@@ -251,7 +253,7 @@ class EquivalencePair:
 def reflexive_pair(a: Formula, calculus: CalculusId,
                    mode: str = DERIVABILITY) -> EquivalencePair:
     if mode == DERIVABILITY:
-        d = verify(Derivation(calculus, frozenset([a]), (HypStep(a),)))
+        d = Derivation(calculus, frozenset([a]), (HypStep(a),))
         return EquivalencePair(d, d, mode)
     b = ProofBuilder(calculus)
     d = b.build(conclusion=_identity(b, a), hypotheses=())
@@ -274,12 +276,12 @@ def as_derivability(p: EquivalencePair) -> EquivalencePair:
 def as_thesis(p: EquivalencePair) -> EquivalencePair:
     if p.mode == THESIS:
         return p
-    return EquivalencePair(deduction(p.forward, p.left),
-                           deduction(p.backward, p.right), THESIS)
+    return EquivalencePair(_deduction_body(p.forward, p.left),
+                           _deduction_body(p.backward, p.right), THESIS)
 
 
 def compose_pairs(p: EquivalencePair, q: EquivalencePair) -> EquivalencePair:
-    """Transitivity: from a ⇄ m and m ⇄ b, a ⇄ b."""
+    """Transitivity: from a ⇄ m and m ⇄ b, a ⇄ b (unchecked)."""
     p, q = as_derivability(p), as_derivability(q)
     if p.right != q.left:
         raise TacticError(f"cannot chain {p.right} with {q.left}")
@@ -297,7 +299,8 @@ def compose_pairs(p: EquivalencePair, q: EquivalencePair) -> EquivalencePair:
 
 
 def pair_to_biconditional(p: EquivalencePair) -> Derivation:
-    """Pack a pair as ⊢ (A -> B) & (B -> A); needs Ax9 (IC or P)."""
+    """Pack a pair as ⊢ (A -> B) & (B -> A); needs Ax9 (IC or P).
+    The result is unchecked."""
     p = as_thesis(p)
     b = ProofBuilder(p.calculus)
     fwd = b.include(p.forward)
@@ -307,7 +310,8 @@ def pair_to_biconditional(p: EquivalencePair) -> Derivation:
 
 
 def biconditional_to_pair(d: Derivation) -> EquivalencePair:
-    """Unpack ⊢ (A -> B) & (B -> A) into a thesis-form pair via Ax7/Ax8."""
+    """Unpack ⊢ (A -> B) & (B -> A) into a thesis-form pair via Ax7/Ax8.
+    The halves are unchecked."""
     conc = d.conclusion
     if not (isinstance(conc, Conj) and isinstance(conc.left, Impl)
             and isinstance(conc.right, Impl)):
@@ -349,7 +353,8 @@ def _rebuild_conjunction(b: ProofBuilder, target: Formula, table: dict) -> int:
 
 
 def conjoin(ds) -> Derivation:
-    """From closed ⊢ B1, ..., ⊢ Bn build ⊢ B1 & ... & Bn (right-associated)."""
+    """From closed ⊢ B1, ..., ⊢ Bn build ⊢ B1 & ... & Bn (right-associated).
+    The result is unchecked."""
     ds = list(ds)
     if not ds:
         raise TacticError("nothing to conjoin")
@@ -370,7 +375,8 @@ def conjoin(ds) -> Derivation:
 
 
 def split_conjunction(d: Derivation, n: int) -> list:
-    """From closed ⊢ B1 & ... & Bn recover closed ⊢ Bj for each j."""
+    """From closed ⊢ B1 & ... & Bn recover closed ⊢ Bj for each j
+    (unchecked)."""
     if d.hypotheses:
         raise TacticError("split requires a closed derivation")
     parts = []
@@ -399,7 +405,7 @@ def split_conjunction(d: Derivation, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the lemma library (each returns a kernel-checked object)
+# the lemma library (unchecked; `lemma` below checks what it returns)
 
 def l2_5(a: Formula, calculus=CalculusId.I) -> Derivation:
     b = ProofBuilder(calculus)
@@ -445,7 +451,7 @@ def l2_10(a, bf, c, calculus=CalculusId.I) -> Derivation:
     h3 = b.hyp(Impl(c, bf))
     ab = _compose(b, h2, h3)
     d = b.build(conclusion=b.mp(h1, ab))
-    return deduction(d, Impl(c, bf))
+    return _deduction_body(d, Impl(c, bf))
 
 
 def l2_11(a, bf, calculus=CalculusId.ID) -> Derivation:
@@ -455,7 +461,7 @@ def l2_11(a, bf, calculus=CalculusId.ID) -> Derivation:
     ax4 = inner.axiom(SchemeId.AX4, A=a, B=Impl(a, bf))
     ab = _compose(inner, ax4, h)                      # a -> b
     ax5 = inner.axiom(SchemeId.AX5, A=Impl(a, bf), B=a)
-    d = deduction(inner.build(conclusion=inner.mp(ax5, ab)), Impl(x, bf))
+    d = _deduction_body(inner.build(conclusion=inner.mp(ax5, ab)), Impl(x, bf))
     b = ProofBuilder(calculus)
     premise = b.include(d)
     peirce = b.axiom(SchemeId.AX3, A=x, B=bf)
@@ -544,7 +550,7 @@ def l2_17(a, bf, c, calculus=CalculusId.ID) -> Derivation:
     aa = _identity(b, a)
     ax6 = b.axiom(SchemeId.AX6, A=a, B=bf, C=a)
     d = b.build(conclusion=b.mp(b.mp(b.mp(ax6, aa), ba), h_or))
-    return deduction(d, Impl(bf, c))
+    return _deduction_body(d, Impl(bf, c))
 
 
 def l2_18(a, bf, calculus=CalculusId.ID) -> Derivation:
@@ -574,13 +580,13 @@ def l2_21(a, bf, c, calculus=CalculusId.IC) -> EquivalencePair:
         b = ProofBuilder(calculus)
         bc = b.mp(b.hyp(h), b.hyp(a))
         ax = b.axiom(scheme, A=bf, B=c)
-        return deduction(b.build(conclusion=b.mp(ax, bc)), a)
+        return _deduction_body(b.build(conclusion=b.mp(ax, bc)), a)
 
     b = ProofBuilder(calculus)
     ab = b.include(projected(SchemeId.AX7))
     ac = b.include(projected(SchemeId.AX8))
     ax9 = b.axiom(SchemeId.AX9, A=Impl(a, bf), B=Impl(a, c))
-    fwd = deduction(b.build(conclusion=b.mp(b.mp(ax9, ab), ac)), h)
+    fwd = _deduction_body(b.build(conclusion=b.mp(b.mp(ax9, ab), ac)), h)
 
     r = Conj(Impl(a, bf), Impl(a, c))
     b2 = ProofBuilder(calculus)
@@ -626,7 +632,7 @@ def conj_reassociation(source: Formula, target: Formula,
         table: dict = {}
         _extract_conjuncts(b, b.hyp(src), table)
         out = _rebuild_conjunction(b, dst, table)
-        return deduction(b.build(conclusion=out), src)
+        return _deduction_body(b.build(conclusion=out), src)
 
     return EquivalencePair(one_way(source, target), one_way(target, source),
                            THESIS)
@@ -662,7 +668,7 @@ def l2_25(c, a, bf, calculus=CalculusId.P) -> EquivalencePair:
     ca = half(a, SchemeId.AX7)
     cb = half(bf, SchemeId.AX8)
     ax9 = b.axiom(SchemeId.AX9, A=Disj(c, a), B=Disj(c, bf))
-    fwd = deduction(b.build(conclusion=b.mp(b.mp(ax9, ca), cb)), left)
+    fwd = _deduction_body(b.build(conclusion=b.mp(b.mp(ax9, ca), cb)), left)
 
     b2 = ProofBuilder(calculus)
     hr = b2.hyp(right)
@@ -682,14 +688,14 @@ def l2_25(c, a, bf, calculus=CalculusId.P) -> EquivalencePair:
     ic = inner2.hyp(c)
     lx = inner2.mp(inner2.axiom(SchemeId.AX4, A=c, B=ab), ic)
     weak = inner2.mp(inner2.axiom(SchemeId.AX1, A=left, B=a), lx)
-    c_a_left = b2.include(deduction(inner2.build(conclusion=weak), c))
+    c_a_left = b2.include(_deduction_body(inner2.build(conclusion=weak), c))
 
     ax6 = b2.axiom(SchemeId.AX6, A=c, B=bf, C=Impl(a, left))
     a_left = b2.mp(b2.mp(b2.mp(ax6, c_a_left), b_a_left), s2)
     c_left = b2.axiom(SchemeId.AX4, A=c, B=ab)
     ax6b = b2.axiom(SchemeId.AX6, A=c, B=a, C=left)
     out = b2.mp(b2.mp(b2.mp(ax6b, c_left), a_left), s1)
-    bwd = deduction(b2.build(conclusion=out), right)
+    bwd = _deduction_body(b2.build(conclusion=out), right)
     return EquivalencePair(fwd, bwd, THESIS)
 
 
@@ -712,7 +718,7 @@ def l2_26(a, bf, c, calculus=CalculusId.P) -> EquivalencePair:
     s_a = half(a, SchemeId.AX7)
     s_b = half(bf, SchemeId.AX8)
     ax9 = b.axiom(SchemeId.AX9, A=Disj(a, c), B=Disj(bf, c))
-    fwd = deduction(b.build(conclusion=b.mp(b.mp(ax9, s_a), s_b)), left)
+    fwd = _deduction_body(b.build(conclusion=b.mp(b.mp(ax9, s_a), s_b)), left)
 
     b2 = ProofBuilder(calculus)
     hr = b2.hyp(right)
@@ -732,14 +738,14 @@ def l2_26(a, bf, c, calculus=CalculusId.P) -> EquivalencePair:
     ic = inner2.hyp(c)
     lx = inner2.mp(inner2.axiom(SchemeId.AX5, A=c, B=ab), ic)
     weak = inner2.mp(inner2.axiom(SchemeId.AX1, A=left, B=bf), lx)
-    c_b_left = b2.include(deduction(inner2.build(conclusion=weak), c))
+    c_b_left = b2.include(_deduction_body(inner2.build(conclusion=weak), c))
 
     ax6 = b2.axiom(SchemeId.AX6, A=a, B=c, C=Impl(bf, left))
     b_left = b2.mp(b2.mp(b2.mp(ax6, a_b_left), c_b_left), s1)
     c_left = b2.axiom(SchemeId.AX5, A=c, B=ab)
     ax6b = b2.axiom(SchemeId.AX6, A=bf, B=c, C=left)
     out = b2.mp(b2.mp(b2.mp(ax6b, b_left), c_left), s2)
-    bwd = deduction(b2.build(conclusion=out), right)
+    bwd = _deduction_body(b2.build(conclusion=out), right)
     return EquivalencePair(fwd, bwd, THESIS)
 
 
@@ -780,16 +786,16 @@ def _congruence(context: Formula, direction: str,
             hd = b.hyp(other)
             got = b.mp(h, hd)
             out = b.include(inner_fwd, hyp_map={old_child: got})
-            return deduction(b.build(conclusion=out, hypotheses={src, other}),
-                             other)
+            return _deduction_body(
+                b.build(conclusion=out, hypotheses={src, other}), other)
         if ctor is Impl and direction == "left":
             hd = b.hyp(new_sub)
             back = b.include(inner_bwd, hyp_map={new_sub: hd})
             out = b.mp(h, back)
-            return deduction(b.build(conclusion=out, hypotheses={src, new_sub}),
-                             new_sub)
+            return _deduction_body(
+                b.build(conclusion=out, hypotheses={src, new_sub}), new_sub)
         if ctor is Disj:
-            child_imp = b.include(deduction(inner_fwd, old_child))
+            child_imp = b.include(_deduction_body(inner_fwd, old_child))
             if direction == "right":
                 into = _compose(b, child_imp,
                                 b.axiom(SchemeId.AX5, A=new_sub, B=other))
@@ -824,7 +830,8 @@ def _congruence(context: Formula, direction: str,
 def substitute_equivalents(c: Formula, path,
                            pair: EquivalencePair) -> EquivalencePair:
     """RSE: the pair between c and c with pair.left at `path` replaced by
-    pair.right, built by congruence recursion along the path."""
+    pair.right, built by congruence recursion along the path.  The halves
+    are unchecked."""
     path = tuple(path)
     pair = as_derivability(pair)
     if subformula_at(c, path) != pair.left:
@@ -901,7 +908,8 @@ def lemma(lemma_id: LemmaId, args, target: CalculusId):
     variadic ids (L2_15, L2_23) pass the leading formulas followed by the
     final one.  L2_20 and L2_24 are not schematic derivations; use
     pair_to_biconditional / biconditional_to_pair and conjoin /
-    split_conjunction respectively.
+    split_conjunction respectively.  The result is kernel-checked: a
+    derivation, or both halves of an EquivalencePair.
     """
     if lemma_id in (LemmaId.L2_20, LemmaId.L2_24):
         raise TacticError(
@@ -912,23 +920,30 @@ def lemma(lemma_id: LemmaId, args, target: CalculusId):
         _require(target, CalculusId.ID)
         sources, targets = args
         _check_fragment(list(sources) + list(targets), target)
-        return l2_16(sources, targets, target)
-    if lemma_id in _VARIADIC:
+        result = l2_16(sources, targets, target)
+    elif lemma_id in _VARIADIC:
         ctor, minimum = _VARIADIC[lemma_id]
         _require(target, minimum)
         args = list(args)
         if len(args) < 2:
             raise TacticError(f"{lemma_id.value} needs at least two formulas")
         _check_fragment(args, target)
-        return ctor(args[:-1], args[-1], target)
-    ctor, arity, minimum = _FIXED_ARITY[lemma_id]
-    _require(target, minimum)
-    args = list(args)
-    if len(args) != arity:
-        raise TacticError(
-            f"{lemma_id.value} takes {arity} formulas, got {len(args)}")
-    _check_fragment(args, target)
-    return ctor(*args, target)
+        result = ctor(args[:-1], args[-1], target)
+    else:
+        ctor, arity, minimum = _FIXED_ARITY[lemma_id]
+        _require(target, minimum)
+        args = list(args)
+        if len(args) != arity:
+            raise TacticError(
+                f"{lemma_id.value} takes {arity} formulas, got {len(args)}")
+        _check_fragment(args, target)
+        result = ctor(*args, target)
+    if isinstance(result, EquivalencePair):
+        verify(result.forward)
+        verify(result.backward)
+    else:
+        verify(result)
+    return result
 
 
 def _require(target: CalculusId, minimum: CalculusId) -> None:

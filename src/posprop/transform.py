@@ -11,6 +11,8 @@ translation of ID derivations into I derivations.
 
 On top of these sit the indirect synthesis routes: prove_I (via ID and
 translation), prove_IC and prove_P_reduction (via gamma decomposition).
+The equivalence builders return unchecked pairs; translate_derivation and
+the routes run the kernel checker once on their result.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .kernel import (AxiomStep, CalculusId, Derivation, HypStep, MPStep,
                      SchemeId, match_scheme, verify)
 from .kalmar import NotTautology, prove
 from .semantics import find_countermodel
+# `deduction` is not called here; it stays bound as transform.deduction for
+# the per-module tracer in perfbench/spans.py
 from .tactics import (DERIVABILITY, THESIS, EquivalencePair, ProofBuilder,
                       TacticError, as_derivability, compose_pairs, conjoin,
                       _discharge, conj_reassociation, deduction, l2_7, l2_8,
@@ -101,9 +105,6 @@ def gamma(a: Formula) -> GammaForm:
         cur = replace_at(cur, path, _apply_rule(rule, subformula_at(cur, path)))
 
 
-_RULE_LEMMA = {"i": l2_21, "ii": l2_22, "iii": l2_25, "iv": l2_26}
-
-
 def _rule_pair(rule: str, redex: Formula, calculus: CalculusId) -> EquivalencePair:
     if rule == "i":
         return l2_21(redex.left, redex.right.left, redex.right.right, calculus)
@@ -118,7 +119,7 @@ def _rule_pair(rule: str, redex: Formula, calculus: CalculusId) -> EquivalencePa
 
 def gamma_equivalence(a: Formula,
                       calculus: CalculusId = CalculusId.P) -> EquivalencePair:
-    """Derivability pair between a and its gamma normal form."""
+    """Derivability pair between a and its gamma normal form (unchecked)."""
     if not calculus.fragment.admits(a):
         raise TacticError(f"{a} outside the {calculus} fragment")
     acc = reflexive_pair(a, calculus)
@@ -152,7 +153,8 @@ def _conj_leaves(f: Formula) -> list:
 
 
 def decompose(a: Formula, calculus: CalculusId = CalculusId.P) -> Decomposition:
-    """Split a into conjunction-free parts with a proved equivalence."""
+    """Split a into conjunction-free parts with a derived, unchecked
+    equivalence."""
     pair = gamma_equivalence(a, calculus)
     normal = pair.right if pair.left != pair.right else a
     conjuncts = _conj_leaves(normal)
@@ -186,15 +188,15 @@ def _disj_as_impl_pair(x: Formula, y: Formula,
     h = b.hyp(disj)
     hi = b.hyp(Impl(x, y))
     out = b.include(l2_18(x, y, calculus), hyp_map={disj: h, Impl(x, y): hi})
-    fwd = deduction(b.build(conclusion=out, hypotheses={disj, Impl(x, y)}),
-                    Impl(x, y))
+    fwd = _discharge(b.build(conclusion=out, hypotheses={disj, Impl(x, y)}),
+                     Impl(x, y))
     bwd = l2_19(x, y, calculus)
     return EquivalencePair(fwd, bwd, DERIVABILITY)
 
 
 def tau_equivalence(a: Formula,
                     calculus: CalculusId = CalculusId.ID) -> EquivalencePair:
-    """Derivability pair between a and tau(a), inside ID."""
+    """Derivability pair between a and tau(a), inside ID (unchecked)."""
     if not CalculusId.ID.fragment.admits(a):
         raise TacticError(f"tau is defined on the ID fragment only, got {a}")
     acc = reflexive_pair(a, calculus)
@@ -214,7 +216,8 @@ def tau_equivalence(a: Formula,
 
 def translate_derivation(d: Derivation) -> Derivation:
     """Map a closed ID derivation step by step onto a closed I derivation
-    of the tau-image of its conclusion."""
+    of the tau-image of its conclusion.  The kernel checks d on the way in
+    and the result on the way out."""
     if d.calculus is not CalculusId.ID:
         raise TacticError(f"translation takes ID derivations, got {d.calculus}")
     if d.hypotheses:
@@ -244,7 +247,7 @@ def translate_derivation(d: Derivation) -> Derivation:
             lines[i] = b.include(closed)
         else:
             raise TacticError(f"{step.scheme} has no implicative image")
-    return b.build(conclusion=lines[len(d.steps) - 1], hypotheses=())
+    return verify(b.build(conclusion=lines[len(d.steps) - 1], hypotheses=()))
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +270,11 @@ def _pair_in_calculus(p: EquivalencePair, calculus: CalculusId) -> EquivalencePa
 def _assemble(a: Formula, dec: Decomposition, parts,
               calculus: CalculusId) -> Derivation:
     """Conjoin closed proofs of the decomposition's conjuncts and come back
-    through the equivalence to a itself."""
-    chain_proof = conjoin([verify(p) for p in parts])
+    through the equivalence to a itself; the result is checked."""
     b = ProofBuilder(calculus)
-    whole = b.include(chain_proof)
+    whole = b.include(conjoin(parts))
     out = b.include(dec.equivalence.backward, hyp_map={dec.chain: whole})
-    return b.build(conclusion=out, hypotheses=())
+    return verify(b.build(conclusion=out, hypotheses=()))
 
 
 def prove_IC(a: Formula) -> Derivation:
@@ -288,8 +290,8 @@ def prove_IC(a: Formula) -> Derivation:
     for conjunct in dec.conjuncts:
         if not CalculusId.I.fragment.admits(conjunct):
             raise TacticError(f"gamma left a non-implicative conjunct {conjunct}")
-        parts.append(verify(Derivation(CalculusId.IC, frozenset(),
-                                       prove_I(conjunct).steps)))
+        parts.append(Derivation(CalculusId.IC, frozenset(),
+                                prove_I(conjunct).steps))
     return _assemble(a, dec, parts, CalculusId.IC)
 
 
@@ -306,8 +308,8 @@ def prove_P_reduction(a: Formula) -> Derivation:
     for conjunct in dec.conjuncts:
         if not CalculusId.ID.fragment.admits(conjunct):
             raise TacticError(f"gamma left a conjunction inside {conjunct}")
-        parts.append(verify(Derivation(CalculusId.P, frozenset(),
-                                       prove(conjunct, CalculusId.ID).steps)))
+        parts.append(Derivation(CalculusId.P, frozenset(),
+                                prove(conjunct, CalculusId.ID).steps))
     return _assemble(a, dec, parts, CalculusId.P)
 
 

@@ -61,6 +61,11 @@ class TestProve:
         assert code == 1
         assert "not a tautology" in out and "p1=T p2=F" in out
 
+    def test_out_file_not_writable(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "proof.txt"
+        code, _, err = run(capsys, "prove", "p1 -> p1", "-o", str(path))
+        assert code == 2 and err.startswith("error:")
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "prove", "p1 ->")
         assert code == 2 and "parse error" in err
@@ -86,6 +91,14 @@ class TestCheck:
         path.write_text("calculus: I\n1. axiom Ax1 p1 -> p2\n")
         code, out, _ = run(capsys, "check", str(path))
         assert code == 1 and "bad-axiom-instance" in out
+
+
+@pytest.mark.parametrize("command", ["check", "translate", "stats"])
+def test_non_utf8_proof_file_is_malformed(capsys, tmp_path, command):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xffcalculus: ID\n1. axiom Ax1 p1 -> p2 -> p1\n")
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2 and err.startswith("malformed proof file:")
 
 
 class TestTautology:

@@ -216,6 +216,14 @@ class TestProofIO:
         with pytest.raises(ProofFormatError):
             read_text(mangle(write_text(self.sample())))
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"calculus": "ID", "hypotheses": [], "steps": []}',
+    ], ids=["invalid-json", "no-steps"])
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(ProofFormatError):
+            from_json(text)
+
     def test_checked_after_reading(self):
         d = read_text(write_text(self.sample()))
         assert check(d) == []

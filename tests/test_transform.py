@@ -4,9 +4,9 @@ import pytest
 
 from posprop.formula import (Atom, Conj, Fragment, Impl, atoms_of,
                              enumerate_formulas, fragment_of, parse)
-from posprop.kernel import CalculusId, check
+from posprop.kernel import CalculusId, check, proof_log
 from posprop.semantics import assignments_over, evaluate, is_tautology
-from posprop.kalmar import NotTautology, prove
+from posprop.kalmar import _LINE_CACHE, NotTautology, prove
 from posprop.tactics import TacticError
 from posprop.transform import (Decomposition, GammaForm, decompose,
                                decompose_to_implicative, gamma,
@@ -234,3 +234,43 @@ class TestDecomposeToImplicative:
         f = parse("p1 & (p2 v p3)")
         dec = decompose_to_implicative(f)
         assert truth_equal(f, dec.chain)
+
+
+@pytest.fixture
+def fresh_proof_log():
+    """The kernel's proof log, emptied and enabled, over an empty line
+    cache; both are restored afterwards."""
+    saved = (proof_log.enabled, list(proof_log.items), dict(_LINE_CACHE))
+    proof_log.enabled = True
+    proof_log.items.clear()
+    _LINE_CACHE.clear()
+    try:
+        yield proof_log.items
+    finally:
+        enabled, items, cache = saved
+        proof_log.enabled = enabled
+        proof_log.items[:] = items
+        _LINE_CACHE.clear()
+        _LINE_CACHE.update(cache)
+
+
+class TestCheckOnce:
+    """A proof is checked where it leaves the package, not at every step
+    that builds it: the log holds the kernel's own one-step hypothesis
+    derivations and the results of the public provers, nothing else."""
+
+    def test_prove(self, fresh_proof_log):
+        f = parse("((p1 -> p2) -> p1) -> p1")
+        prove(f, CalculusId.ID)
+        log = list(fresh_proof_log)
+        assert len(log) <= 1 + len(atoms_of(f))
+        assert log[-1] == (frozenset(), f)
+        assert all(hyps == {c} for hyps, c in log[:-1])
+
+    def test_prove_P_reduction(self, fresh_proof_log):
+        f = parse("p1 & p2 -> p2 & p1")
+        prove_P_reduction(f)
+        log = list(fresh_proof_log)
+        closed = [c for hyps, c in log if not hyps]
+        assert closed == list(decompose(f, CalculusId.P).conjuncts) + [f]
+        assert all(hyps == {c} for hyps, c in log if hyps)
