@@ -50,8 +50,9 @@ class LineCertificate:
 
 def _chain_into(b: ProofBuilder, atom_set, target: Formula) -> dict:
     """Lines e -> target for each atom in atom_set (all must be disjuncts
-    of target)."""
-    return {atom: _inject(b, atom, target) for atom in atom_set}
+    of target), added in the order R so that the proof does not depend on
+    set iteration order."""
+    return {atom: _inject(b, atom, target) for atom in r_sorted(atom_set)}
 
 
 def _premise_to(b: ProofBuilder, premise_index: int, leaves: dict) -> int:

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import posprop
 
 from posprop.formula import (Atom, Disj, Impl, atoms_of, delta_set,
                              enumerate_formulas, gamma_set, neg_encode, parse,
@@ -232,6 +237,40 @@ class TestProve:
             else:
                 with pytest.raises(NotTautology):
                     prove(f, CalculusId.ID)
+
+
+# Atoms hash by identity, so a set of atoms iterates in an order set by
+# object addresses; creating them in another order moves those addresses.
+_PROVE_IN_ATOM_ORDER = """
+import sys
+from posprop.formula import Atom, parse
+from posprop.kalmar import prove
+from posprop.kernel import CalculusId
+from posprop.proofio import write_text
+for i in map(int, sys.argv[1].split(",")):
+    Atom(i)
+for text in sys.argv[2:]:
+    sys.stdout.write(write_text(prove(parse(text), CalculusId.ID)))
+"""
+
+
+def _proof_texts(atom_order: str, formulas) -> str:
+    src = os.path.dirname(os.path.dirname(posprop.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PROVE_IN_ATOM_ORDER, atom_order, *formulas],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=300, check=True)
+    return done.stdout
+
+
+def test_proofs_do_not_depend_on_atom_creation_order():
+    formulas = ["p1 v p2 v p3 -> p3 v p2 v p1",
+                "(p1 -> p2) v (p2 -> p3) v p1",
+                "((p1 -> p2) -> p3) -> (p3 -> p1) -> p3 v p1",
+                "(p1 -> p2 v p3) -> (p4 -> p1) -> p4 -> p3 v p2"]
+    assert (_proof_texts("1,2,3,4", formulas)
+            == _proof_texts("4,3,2,1", formulas))
 
 
 class TestDeriveFromHypotheses:
