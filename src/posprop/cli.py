@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 logical negative (non-tautology with countermodel,
-proof that fails checking); 2 usage or syntax errors.
+proof that fails checking); 2 usage or syntax errors, including input
+nested too deeply to parse.
 """
 
 from __future__ import annotations
@@ -240,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ from itertools import combinations
 
 from .formula import (Atom, Conj, Disj, Formula, Impl, atoms_of, delta_set,
                       disj_chain, gamma_set, pos_encode, neg_encode, r_sorted)
+# `prune` is not called here; it stays bound as kalmar.prune for the
+# per-module tracer in perfbench/spans.py
 from .kernel import (CalculusId, Derivation, SchemeId, hypothesis, prune,
                      verify)
 from .semantics import (entailment_countermodel, evaluate, find_countermodel)
@@ -240,9 +242,7 @@ def build_line(v: dict, a: Formula, calc: CalculusId) -> LineCertificate:
         cached = _LINE_CACHE.get(key)
         if cached is not None:
             return cached
-        # prune before caching: lemma templates leave many dead lines, and
-        # every parent splices the result wholesale
-        d = prune(_rec_uncached(f))
+        d = _rec_uncached(f)
         if len(_LINE_CACHE) >= _LINE_CACHE_LIMIT:
             _LINE_CACHE.clear()
         _LINE_CACHE[key] = d
@@ -343,8 +343,7 @@ def eliminate(a: Formula, atom_set, leaves: dict,
                 i_imp = b.include(discharged)
                 out = b.include(l2_18(b1, x, calc),
                                 hyp_map={Disj(b1, x): i_false, Impl(b1, x): i_imp})
-                merged[h_star] = b.build(conclusion=out, hypotheses=h_star,
-                                         prune=True)
+                merged[h_star] = b.build(conclusion=out, hypotheses=h_star)
         current = merged
     return current[frozenset()]
 

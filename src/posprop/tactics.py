@@ -8,7 +8,8 @@ run the kernel checker once on their result.  `deduction` also checks the
 caller's derivation on the way in.  The central tool is ProofBuilder,
 which accumulates steps, deduplicates lines by formula (a sound peephole:
 an identical earlier line under the same hypotheses proves the same
-thing), and splices existing derivations with index re-offsetting.
+thing), splices existing derivations with index re-offsetting, and
+drops the steps a conclusion does not cite when it freezes a derivation.
 """
 
 from __future__ import annotations
@@ -81,18 +82,18 @@ class ProofBuilder:
                 mapping[i] = self.mp(mapping[step.major], mapping[step.minor])
         return mapping[len(d.steps) - 1]
 
-    def build(self, conclusion: int = None, hypotheses=None,
-              prune: bool = False) -> Derivation:
-        """Freeze into an unchecked derivation.  If the conclusion line is
-        not last (the dedup cache can cause that), its step is repeated at
-        the end.  Hypotheses default to the cited ones.  With prune=True,
-        steps the conclusion does not cite are dropped."""
+    def build(self, conclusion: int = None, hypotheses=None) -> Derivation:
+        """Freeze into an unchecked derivation of the conclusion line (by
+        default the last line), keeping only the steps it cites.
+        Hypotheses default to every hypothesis line, cited or not; they are
+        taken before the uncited steps are dropped, because callers go on to
+        discharge hypotheses their conclusion may not cite."""
         if conclusion is not None and conclusion != len(self.steps) - 1:
             self.steps.append(self.steps[conclusion])
         if hypotheses is None:
             hypotheses = {s.formula for s in self.steps if isinstance(s, HypStep)}
-        d = Derivation(self.calculus, frozenset(hypotheses), tuple(self.steps))
-        return _prune(d) if prune else d
+        return _prune(Derivation(self.calculus, frozenset(hypotheses),
+                                 tuple(self.steps)))
 
 
 def _identity(b: ProofBuilder, a: Formula) -> int:
@@ -245,9 +246,6 @@ class EquivalencePair:
         if self.mode == THESIS:
             return self.forward.conclusion.right
         return self.forward.conclusion
-
-    def flipped(self) -> "EquivalencePair":
-        return EquivalencePair(self.backward, self.forward, self.mode)
 
 
 def reflexive_pair(a: Formula, calculus: CalculusId,

@@ -124,15 +124,12 @@ def gamma_equivalence(a: Formula,
         raise TacticError(f"{a} outside the {calculus} fragment")
     acc = reflexive_pair(a, calculus)
     cur = a
-    while True:
-        found = _find_redex(cur)
-        if found is None:
-            return acc
-        rule, path = found
+    for rule, path in gamma(a).trace:
         redex = subformula_at(cur, path)
         step = substitute_equivalents(cur, path, _rule_pair(rule, redex, calculus))
         acc = compose_pairs(acc, step)
         cur = step.right
+    return acc
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def decompose(a: Formula, calculus: CalculusId = CalculusId.P) -> Decomposition:
     """Split a into conjunction-free parts with a derived, unchecked
     equivalence."""
     pair = gamma_equivalence(a, calculus)
-    normal = pair.right if pair.left != pair.right else a
+    normal = pair.right
     conjuncts = _conj_leaves(normal)
     target = conj_chain(conjuncts)
     if target != normal:
@@ -262,9 +259,11 @@ def prove_I(a: Formula) -> Derivation:
 
 
 def _pair_in_calculus(p: EquivalencePair, calculus: CalculusId) -> EquivalencePair:
-    from .kernel import in_calculus
-    return EquivalencePair(in_calculus(p.forward, calculus),
-                           in_calculus(p.backward, calculus), p.mode)
+    """Re-tag both halves in an extending calculus (unchecked)."""
+    return EquivalencePair(Derivation(calculus, p.forward.hypotheses,
+                                      p.forward.steps),
+                           Derivation(calculus, p.backward.hypotheses,
+                                      p.backward.steps), p.mode)
 
 
 def _assemble(a: Formula, dec: Decomposition, parts,

@@ -101,6 +101,20 @@ def test_non_utf8_proof_file_is_malformed(capsys, tmp_path, command):
     assert code == 2 and err.startswith("malformed proof file:")
 
 
+_DEEP = "(" * 1000 + "p1" + ")" * 1000 + " -> p1"
+
+
+@pytest.mark.parametrize("command", ["tautology", "check"])
+def test_deep_nesting_exits_2(capsys, tmp_path, command):
+    arg = _DEEP
+    if command == "check":
+        path = tmp_path / "deep.txt"
+        path.write_text(f"calculus: I\nhyp: {_DEEP}\n1. hyp {_DEEP}\n")
+        arg = str(path)
+    code, _, err = run(capsys, command, arg)
+    assert code == 2 and err == "error: input nested too deeply\n"
+
+
 class TestTautology:
     def test_yes(self, capsys):
         code, out, _ = run(capsys, "tautology", "p1 -> p2 -> p1")

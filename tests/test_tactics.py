@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from posprop.formula import Atom, Conj, Disj, Impl, parse
 from posprop.kernel import (CalculusId, CheckError, Derivation, HypStep,
-                            MPStep, SchemeId, check, hypothesis, verify)
+                            MPStep, SchemeId, check, hypothesis, prune,
+                            verify)
 from posprop.semantics import entails, evaluate, assignments_over
 from posprop.formula import atoms_of
 from posprop.tactics import (DERIVABILITY, THESIS, EquivalencePair, LemmaId,
@@ -112,6 +113,7 @@ class TestGoldenLemmas:
         assert d.calculus is calc
         assert d.hypotheses == frozenset(parse(h) for h in hyps)
         assert d.conclusion == parse(concl)
+        assert prune(d) is d
 
     @pytest.mark.parametrize("lid,args,calc,left,right,mode", GOLDEN_PAIRS,
                              ids=lambda v: v.value if isinstance(v, LemmaId) else None)
@@ -122,6 +124,8 @@ class TestGoldenLemmas:
         assert p.left == parse(left)
         assert p.right == parse(right)
         assert check(p.forward) == [] and check(p.backward) == []
+        assert prune(p.forward) is p.forward
+        assert prune(p.backward) is p.backward
 
     def test_l2_16(self):
         d = lemma(LemmaId.L2_16, ([P2, P1], [P1, P3, P2]), CalculusId.ID)

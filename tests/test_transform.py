@@ -4,7 +4,7 @@ import pytest
 
 from posprop.formula import (Atom, Conj, Fragment, Impl, atoms_of,
                              enumerate_formulas, fragment_of, parse)
-from posprop.kernel import CalculusId, check, proof_log
+from posprop.kernel import CalculusId, check, proof_log, prune
 from posprop.semantics import assignments_over, evaluate, is_tautology
 from posprop.kalmar import _LINE_CACHE, NotTautology, prove
 from posprop.tactics import TacticError
@@ -274,3 +274,31 @@ class TestCheckOnce:
         closed = [c for hyps, c in log if not hyps]
         assert closed == list(decompose(f, CalculusId.P).conjuncts) + [f]
         assert all(hyps == {c} for hyps, c in log if hyps)
+
+    def test_decompose_to_implicative(self, fresh_proof_log):
+        decompose_to_implicative(parse("p1 v p2 & p3"))
+        assert list(fresh_proof_log) == []
+
+
+_PROVERS = {
+    "ID": lambda f: prove(f, CalculusId.ID),
+    "P": lambda f: prove(f, CalculusId.P),
+    "I": prove_I,
+    "IC": prove_IC,
+    "P-reduction": prove_P_reduction,
+    "translate": lambda f: translate_derivation(prove(f, CalculusId.ID)),
+}
+
+
+@pytest.mark.parametrize("route,text", [
+    ("ID", "((p1 -> p2) -> p1) -> p1"),
+    ("P", "p1 & p2 -> p2 & p1"),
+    ("I", "((p1 -> p2) -> p1) -> p1"),
+    ("IC", "p1 & p2 -> p2 & p1"),
+    ("P-reduction", "p1 v p2 & p3 -> (p1 v p2) & (p1 v p3)"),
+    ("translate", "p1 v (p1 -> p2)"),
+])
+def test_proofs_cite_every_step(route, text):
+    """Every step of a returned proof is cited by its conclusion."""
+    d = _PROVERS[route](parse(text))
+    assert prune(d) is d
