@@ -190,6 +190,17 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type for a count: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="posprop",
                                 description="positive propositional proofs")
@@ -227,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_decompose)
 
     sp = sub.add_parser("enumerate", help="sweep and prove small tautologies")
-    sp.add_argument("--max-connectives", type=int, default=3)
-    sp.add_argument("--atoms", type=int, default=2)
+    sp.add_argument("--max-connectives", type=_count, default=3)
+    sp.add_argument("--atoms", type=_count, default=2)
     sp.add_argument("--calculus", "-c", choices=sorted(_CALCULI), default="ID")
     sp.set_defaults(func=_cmd_enumerate)
 

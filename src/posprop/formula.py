@@ -408,7 +408,10 @@ def replace_at(f: Formula, path, replacement: Formula) -> Formula:
 
 def enumerate_formulas(max_connectives: int, atom_indices, fragment: Fragment) -> Iterator[Formula]:
     """All formulas of the fragment over the given atoms with at most
-    max_connectives connective occurrences, smallest first."""
+    max_connectives connective occurrences, smallest first; none when
+    max_connectives is negative."""
+    if max_connectives < 0:
+        return
     atoms = [Atom(i) for i in sorted(atom_indices)]
     ctors = [Impl]
     if "v" in fragment.connectives:

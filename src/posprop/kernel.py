@@ -82,7 +82,7 @@ def match_scheme(scheme: SchemeId, f: Formula) -> Optional[dict]:
     return subst if walk(SCHEME_PATTERNS[scheme], f) else None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _is_instance(scheme: SchemeId, f: Formula) -> bool:
     return match_scheme(scheme, f) is not None
 

@@ -5,11 +5,16 @@ Nothing here is trusted, and nothing here checks what it builds: the
 combinators and lemma constructors return unchecked derivations, and the
 public entry points (`lemma` here, the provers in kalmar and transform)
 run the kernel checker once on their result.  `deduction` also checks the
-caller's derivation on the way in.  The central tool is ProofBuilder,
-which accumulates steps, deduplicates lines by formula (a sound peephole:
-an identical earlier line under the same hypotheses proves the same
-thing), splices existing derivations with index re-offsetting, and
-drops the steps a conclusion does not cite when it freezes a derivation.
+caller's derivation on the way in.  The deduction theorem is
+dependency-aware: steps that do not cite the discharged hypothesis are
+copied, and only the others are lifted through Ax1/Ax2, so a discharge
+costs a few steps per dependent step rather than a few per step.
+
+The central tool is ProofBuilder, which accumulates steps, deduplicates
+lines by formula (a sound peephole: an identical earlier line under the
+same hypotheses proves the same thing), splices existing derivations with
+index re-offsetting, and drops the steps a conclusion does not cite when
+it freezes a derivation.
 """
 
 from __future__ import annotations
@@ -126,9 +131,9 @@ def _compose(b: ProofBuilder, i_ab: int, i_bc: int) -> int:
 def deduction(d: Derivation, a: Formula) -> Derivation:
     """Discharge hypothesis a: from hyps ⊢ C produce hyps\\{a} ⊢ a -> C.
 
-    Line-by-line: an axiom or other hypothesis b becomes b, Ax1, MP to get
-    a -> b; the hypothesis a itself becomes the identity proof of a -> a;
-    an MP step is simulated with Ax2.  The kernel checks d on the way in,
+    Dependency-aware: only the steps that cite a, directly or through
+    earlier steps, are lifted to a -> (step); the others are copied as
+    they are (see _deduction_body).  The kernel checks d on the way in,
     so a bad input raises CheckError; the result is not checked again.
     """
     if a not in d.hypotheses:
@@ -138,36 +143,44 @@ def deduction(d: Derivation, a: Formula) -> Derivation:
 
 
 def _deduction_body(d: Derivation, a: Formula) -> Derivation:
-    """The line-by-line transformation, for a in d.hypotheses.  Neither d
-    nor the result is checked: package code checks at its boundary."""
+    """The transformation behind deduction.  A step that does not cite a
+    (an axiom, another hypothesis, an MP of two such steps) is copied; the
+    hypothesis a becomes the identity proof of a -> a; an MP with a premise
+    that cites a is simulated with Ax2, and its other premise, if it does
+    not cite a, is lifted once by Ax1 and MP.  The conclusion, if it does
+    not cite a, is lifted the same way, so when a is not a hypothesis at
+    all the result is d followed by Ax1 and MP.  Neither d nor the result
+    is checked: package code checks at its boundary."""
     b = ProofBuilder(d.calculus)
-    lifted = {}  # old index -> line proving a -> (old formula)
+    copied = {}   # old index -> line proving the old formula (steps not citing a)
+    lifted = {}   # old index -> line proving a -> (old formula)
+
+    def lift(i: int) -> int:
+        if i not in lifted:
+            ax1 = b.axiom(SchemeId.AX1, A=d.steps[i].formula, B=a)
+            lifted[i] = b.mp(ax1, copied[i])
+        return lifted[i]
+
     for i, step in enumerate(d.steps):
-        f = step.formula
-        if isinstance(step, HypStep) and f == a:
+        if isinstance(step, HypStep) and step.formula == a:
             lifted[i] = _identity(b, a)
-        elif isinstance(step, MPStep):
-            minor = d.steps[step.minor].formula
-            ax2 = b.axiom(SchemeId.AX2, A=a, B=minor, C=f)
-            lifted[i] = b.mp(b.mp(ax2, lifted[step.major]), lifted[step.minor])
+        elif not isinstance(step, MPStep):
+            copied[i] = b._add(step)
+        elif step.major in copied and step.minor in copied:
+            copied[i] = b.mp(copied[step.major], copied[step.minor])
         else:
-            base = b._add(step)
-            ax1 = b.axiom(SchemeId.AX1, A=f, B=a)
-            lifted[i] = b.mp(ax1, base)
-    return b.build(conclusion=lifted[len(d.steps) - 1],
+            minor = d.steps[step.minor].formula
+            ax2 = b.axiom(SchemeId.AX2, A=a, B=minor, C=step.formula)
+            lifted[i] = b.mp(b.mp(ax2, lift(step.major)), lift(step.minor))
+    return b.build(conclusion=lift(len(d.steps) - 1),
                    hypotheses=d.hypotheses - {a})
 
 
 def _discharge(d: Derivation, a: Formula) -> Derivation:
-    """deduction(), extended to vacuous discharge: when a is not among the
-    hypotheses (degenerate template instantiations can collapse two
-    intended hypotheses into one), weaken the conclusion via Ax1 instead."""
-    if a in d.hypotheses:
-        return _deduction_body(d, a)
-    b = ProofBuilder(d.calculus)
-    base = b.include(d)
-    ax1 = b.axiom(SchemeId.AX1, A=d.conclusion, B=a)
-    return b.build(conclusion=b.mp(ax1, base), hypotheses=d.hypotheses)
+    """Discharge a where it may not be a hypothesis at all (degenerate
+    template instantiations can collapse two intended hypotheses into
+    one); _deduction_body then weakens the conclusion via Ax1."""
+    return _deduction_body(d, a)
 
 
 # ---------------------------------------------------------------------------

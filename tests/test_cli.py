@@ -185,6 +185,12 @@ class TestEnumerateAndStats:
         assert code == 0
         assert "tautologies" in out and "proof steps" in out
 
+    @pytest.mark.parametrize("flag", ["--max-connectives", "--atoms"])
+    def test_enumerate_rejects_negative(self, capsys, flag):
+        code, out, err = run(capsys, "enumerate", flag, "-1")
+        assert code == 2
+        assert out == "" and "negative" in err
+
     def test_stats(self, capsys, tmp_path):
         path = tmp_path / "proof.txt"
         run(capsys, "prove", "p1 -> p1", "-c", "I", "-o", str(path))

@@ -177,6 +177,9 @@ class TestEnumeration:
         assert len(got) == 10
         assert len(set(got)) == 10
 
+    def test_negative_count_yields_nothing(self):
+        assert list(enumerate_formulas(-1, [1, 2], Fragment.POSITIVE)) == []
+
     def test_respects_fragment(self):
         for f in enumerate_formulas(2, [1, 2], Fragment.IMPLICATIVE):
             assert fragment_of(f) is Fragment.IMPLICATIVE

@@ -4,7 +4,8 @@ from posprop.formula import Atom, Fragment, parse
 from posprop.kernel import (AxiomStep, CalculusId, CheckError, Derivation,
                             HypStep, MPStep, SchemeId, axiom, check, concat,
                             hypothesis, in_calculus, instantiate_scheme,
-                            match_scheme, prune, verify)
+                            match_scheme, prune, verify, _instantiate,
+                            _is_instance)
 from posprop.proofio import (ProofFormatError, from_json, read_text, to_json,
                              write_text)
 
@@ -30,6 +31,10 @@ class TestSchemes:
             f = instantiate_scheme(scheme, subst)
             got = match_scheme(scheme, f)
             assert all(got[k] == subst[k] for k in got)
+
+    def test_scheme_caches_bounded(self):
+        assert _is_instance.cache_info().maxsize is not None
+        assert _instantiate.cache_info().maxsize is not None
 
     def test_instantiate_missing_metavariable(self):
         with pytest.raises(KeyError):

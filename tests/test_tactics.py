@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from posprop.formula import Atom, Conj, Disj, Impl, parse
 from posprop.kernel import (CalculusId, CheckError, Derivation, HypStep,
@@ -7,12 +7,13 @@ from posprop.kernel import (CalculusId, CheckError, Derivation, HypStep,
                             verify)
 from posprop.semantics import entails, evaluate, assignments_over
 from posprop.formula import atoms_of
+from posprop.kalmar import build_line, prove
 from posprop.tactics import (DERIVABILITY, THESIS, EquivalencePair, LemmaId,
                              ProofBuilder, TacticError, as_derivability,
                              as_thesis, biconditional_to_pair, compose_pairs,
                              conjoin, deduction, lemma, pair_to_biconditional,
                              reflexive_pair, split_conjunction,
-                             substitute_equivalents)
+                             substitute_equivalents, _deduction_body)
 
 from test_formula import formulas
 
@@ -102,6 +103,67 @@ class TestDeduction:
                            (HypStep(P1), MPStep(0, 0, P2)))
         with pytest.raises(CheckError):
             deduction(bogus, P1)
+
+
+def _cites(d, a):
+    """Per step of d: whether it cites the hypothesis a, directly or
+    through the premises of its MP steps."""
+    out = []
+    for step in d.steps:
+        if isinstance(step, MPStep):
+            out.append(out[step.major] or out[step.minor])
+        else:
+            out.append(isinstance(step, HypStep) and step.formula == a)
+    return out
+
+
+def _chain(n):
+    """p1 -> p2 -> ... -> pn -> p1."""
+    f = P1
+    for i in range(n, 0, -1):
+        f = Impl(Atom(i), f)
+    return f
+
+
+class TestDependencyAwareDeduction:
+    """The deduction theorem lifts only the steps that cite the
+    discharged hypothesis; the others are copied as they are."""
+
+    @given(formulas(max_depth=3),
+           st.lists(st.booleans(), min_size=3, max_size=3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_line_discharge(self, f, values, data):
+        v = {i + 1: value for i, value in enumerate(values)}
+        d = build_line(v, f, CalculusId.P).derivation
+        assume(d.hypotheses)
+        a = data.draw(st.sampled_from(sorted(d.hypotheses, key=str)))
+        out = _deduction_body(d, a)
+        assert check(out) == []
+        assert out.conclusion == Impl(a, d.conclusion)
+        assert out.hypotheses == d.hypotheses - {a}
+        cites = _cites(d, a)
+        kept = {s.formula for s in out.steps}
+        assert all(s.formula in kept
+                   for s, c in zip(d.steps, cites) if not c)
+        if not cites[-1]:
+            assert len(out) <= len(d) + 2
+
+    @pytest.mark.parametrize("a", [P3, Atom(4)], ids=["uncited", "absent"])
+    def test_independent_conclusion_costs_two_steps(self, a):
+        # an uncited hypothesis, or none at all: d, then Ax1 and MP
+        imp = parse("p1 -> p2")
+        d = verify(Derivation(CalculusId.I, frozenset([imp, P1, P3]),
+                              (HypStep(imp), HypStep(P1), MPStep(0, 1, P2))))
+        out = _deduction_body(d, a)
+        assert check(out) == []
+        assert out.conclusion == Impl(a, P2)
+        assert out.hypotheses == d.hypotheses - {a}
+        assert out.steps[:3] == d.steps
+        assert len(out) == len(d) + 2
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_chain_proofs_stay_linear(self, n):
+        assert len(prove(_chain(n), CalculusId.ID)) <= 6 * n
 
 
 class TestGoldenLemmas:

@@ -6,7 +6,8 @@ from posprop.formula import (Atom, Conj, Fragment, Impl, atoms_of,
                              enumerate_formulas, fragment_of, parse)
 from posprop.kernel import CalculusId, check, proof_log, prune
 from posprop.semantics import assignments_over, evaluate, is_tautology
-from posprop.kalmar import _LINE_CACHE, NotTautology, prove
+from posprop.kalmar import (_LINE_CACHE, NotTautology, derive_from_hypotheses,
+                            prove)
 from posprop.tactics import TacticError
 from posprop.transform import (Decomposition, GammaForm, decompose,
                                decompose_to_implicative, gamma,
@@ -274,6 +275,22 @@ class TestCheckOnce:
         closed = [c for hyps, c in log if not hyps]
         assert closed == list(decompose(f, CalculusId.P).conjuncts) + [f]
         assert all(hyps == {c} for hyps, c in log if hyps)
+
+    def test_prove_I(self, fresh_proof_log):
+        # the ID proof is checked by translate_derivation only, on the way in
+        f = parse("((p1 -> p2) -> p1) -> p1")
+        prove_I(f)
+        log = list(fresh_proof_log)
+        assert [c for hyps, c in log if not hyps] == [f, f]
+        assert all(hyps == {c} for hyps, c in log if hyps)
+
+    def test_derive_from_hypotheses(self, fresh_proof_log):
+        hyps = [parse("p1"), parse("p1 -> p2")]
+        d = derive_from_hypotheses(hyps, parse("p2"), CalculusId.ID)
+        assert check(d) == []
+        log = list(fresh_proof_log)
+        assert log[-1] == (frozenset(hyps), parse("p2"))
+        assert all(hyps for hyps, _ in log)
 
     def test_decompose_to_implicative(self, fresh_proof_log):
         decompose_to_implicative(parse("p1 v p2 & p3"))
