@@ -3,9 +3,11 @@
 For a fixed assignment each subformula gets a "line": from the true atoms,
 derive the formula's positive encoding (when true) or negative encoding
 (when false) over the false atoms.  Lines are built by structural
-recursion (the lemma_3_* / lemma_4_* constructors below), then the
-per-assignment proofs are merged by eliminating atoms pairwise, least
-first in the order R, via the deduction theorem and case analysis.
+recursion (the lemma_3_* / lemma_4_* constructors below).  eliminate
+then merges them down a decision tree that splits on the atoms, greatest
+first in the order R: each inner node discharges its atom from the true
+child by the deduction theorem and joins the false child by case
+analysis, so the atoms are eliminated least first in the order R.
 
 The constructors, build_line, eliminate and synthesize return unchecked
 derivations; prove and derive_from_hypotheses run the kernel checker once
@@ -15,18 +17,18 @@ on their result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .formula import (Atom, Conj, Disj, Formula, Impl, atoms_of, delta_set,
                       disj_chain, gamma_set, pos_encode, neg_encode, r_sorted)
-# `prune` is not called here; it stays bound as kalmar.prune for the
-# per-module tracer in perfbench/spans.py
+# `prune` and `deduction` are not called here; they stay bound as
+# kalmar.prune and kalmar.deduction for the per-module tracer in
+# perfbench/spans.py
 from .kernel import (CalculusId, Derivation, SchemeId, hypothesis, prune,
                      verify)
 from .semantics import (entailment_countermodel, evaluate, find_countermodel)
 from .tactics import (ProofBuilder, TacticError, _compose, _deduction_body,
-                      _elim, _identity, _inject, deduction, l2_5, l2_13,
-                      l2_17, l2_18, l2_25)
+                      _elim, _inject, deduction, l2_5, l2_13, l2_17, l2_18,
+                      l2_25)
 
 
 class NotTautology(ValueError):
@@ -44,10 +46,6 @@ class LineCertificate:
     assignment: dict
     polarity: str  # "positive" | "negative"
     derivation: Derivation
-
-    @property
-    def encoded(self) -> Formula:
-        return self.derivation.conclusion
 
 
 def _chain_into(b: ProofBuilder, atom_set, target: Formula) -> dict:
@@ -292,60 +290,40 @@ _LINE_CACHE: dict = {}
 _LINE_CACHE_LIMIT = 200_000
 
 
-class MissingPartition(ValueError):
-    pass
+def eliminate(a: Formula, calc: CalculusId) -> Derivation:
+    """Merge the per-assignment lines of a tautology a into a closed
+    derivation of a, down a decision tree over its atoms.
 
-
-def eliminate(a: Formula, atom_set, leaves: dict,
-              calc: CalculusId) -> Derivation:
-    """Merge the 2^n per-partition derivations of encoded forms of a into
-    a closed derivation of a.  `leaves` maps each frozenset H of true atoms
-    (with J the complementary false atoms) to a derivation of (J)^a from H.
-
-    Recursion peels the R-least atom B: for each sub-partition, the
-    B-true branch is discharged by DT to B -> (J*)^a, the B-false branch
-    already concludes B v (J*)^a, and the two resolve by the 2.18 schema.
-    The result is unchecked.
+    A node fixes the atoms above some atom B in the order R and splits on
+    B, so a leaf fixes every atom and is build_line's line: (J)^a from the
+    true atoms, J the false ones.  With J the node's false atoms, the
+    B-true child is discharged by DT to B -> (J)^a, the B-false child
+    concludes B v (J)^a (B is R-least in J + B), and the two resolve by
+    the 2.18 schema into (J)^a from the node's true atoms.  The result is
+    unchecked.
     """
-    atom_set = frozenset(atom_set)
-    ordered = r_sorted(atom_set)
-    current = {}
-    for r in range(len(ordered) + 1):
-        for combo in combinations(ordered, r):
-            h = frozenset(combo)
-            j = atom_set - h
-            if h not in leaves:
-                raise MissingPartition(f"no derivation for true-set {sorted(x.index for x in h)}")
-            d = leaves[h]
-            expected = pos_encode(j, a)
-            if d.conclusion != expected:
-                raise TacticError(
-                    f"leaf for true-set {sorted(x.index for x in h)} concludes "
-                    f"{d.conclusion}, expected {expected}")
-            # re-declare hypotheses as exactly H (required by the DT peel)
-            current[h] = Derivation(calc, h, d.steps)
+    ordered = r_sorted(atoms_of(a))
+    v: dict = {}
 
-    remaining = list(ordered)
-    while remaining:
-        b1 = remaining.pop(0)
-        rest = frozenset(remaining)
-        merged = {}
-        for r in range(len(remaining) + 1):
-            for combo in combinations(remaining, r):
-                h_star = frozenset(combo)
-                j_star = rest - h_star
-                x = pos_encode(j_star, a)
-                d_true = current[h_star | {b1}]
-                d_false = current[h_star]           # concludes b1 v x
-                discharged = _deduction_body(d_true, b1)  # b1 -> x
-                b = ProofBuilder(calc)
-                i_false = b.include(d_false)
-                i_imp = b.include(discharged)
-                out = b.include(l2_18(b1, x, calc),
-                                hyp_map={Disj(b1, x): i_false, Impl(b1, x): i_imp})
-                merged[h_star] = b.build(conclusion=out, hypotheses=h_star)
-        current = merged
-    return current[frozenset()]
+    def node(k: int) -> Derivation:
+        # ordered[k:] are fixed in v; split on ordered[k - 1]
+        if k == 0:
+            return build_line(v, a, calc).derivation
+        b1 = ordered[k - 1]
+        v[b1.index] = True
+        discharged = _deduction_body(node(k - 1), b1)  # b1 -> x
+        v[b1.index] = False
+        d_false = node(k - 1)                           # b1 v x
+        del v[b1.index]
+        x = discharged.conclusion.right
+        b = ProofBuilder(calc)
+        i_false = b.include(d_false)
+        i_imp = b.include(discharged)
+        out = b.include(l2_18(b1, x, calc),
+                        hyp_map={Disj(b1, x): i_false, Impl(b1, x): i_imp})
+        return b.build(conclusion=out, hypotheses=d_false.hypotheses)
+
+    return node(len(ordered))
 
 
 def prove(a: Formula, calc: CalculusId) -> Derivation:
@@ -364,15 +342,7 @@ def synthesize(a: Formula, calc: CalculusId) -> Derivation:
     countermodel = find_countermodel(a)
     if countermodel is not None:
         raise NotTautology(countermodel)
-    atom_set = atoms_of(a)
-    ordered = r_sorted(atom_set)
-    leaves = {}
-    for r in range(len(ordered) + 1):
-        for combo in combinations(ordered, r):
-            h = frozenset(combo)
-            v = {atom.index: (atom in h) for atom in ordered}
-            leaves[h] = build_line(v, a, calc).derivation
-    return eliminate(a, atom_set, leaves, calc)
+    return eliminate(a, calc)
 
 
 def derive_from_hypotheses(hyps, a: Formula, calc: CalculusId) -> Derivation:

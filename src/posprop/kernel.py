@@ -258,40 +258,9 @@ class _ProofLog:
 proof_log = _ProofLog()
 
 
-def axiom(calculus: CalculusId, scheme: SchemeId, subst: dict) -> Derivation:
-    """One-step closed derivation of a scheme instance."""
-    if scheme not in calculus.schemes:
-        raise CheckError([StepError(0, "scheme-not-in-calculus",
-                                    f"{scheme} not available in {calculus}")])
-    f = instantiate_scheme(scheme, subst)
-    return verify(Derivation(calculus, frozenset(), (AxiomStep(scheme, f),)))
-
-
 def hypothesis(calculus: CalculusId, f: Formula) -> Derivation:
     """One-step derivation of f from {f}."""
     return verify(Derivation(calculus, frozenset([f]), (HypStep(f),)))
-
-
-def concat(*ds: Derivation) -> Derivation:
-    """Splice derivations in the same calculus, re-offsetting MP indices.
-    Hypotheses are unioned; the conclusion is the last argument's."""
-    if not ds:
-        raise ValueError("nothing to concatenate")
-    calculus = ds[0].calculus
-    hyps: set = set()
-    steps: list = []
-    for d in ds:
-        if d.calculus is not calculus:
-            raise CheckError([StepError(-1, "calculus-mismatch",
-                                        f"{d.calculus} spliced into a {calculus} derivation")])
-        offset = len(steps)
-        hyps |= d.hypotheses
-        for step in d.steps:
-            if isinstance(step, MPStep):
-                steps.append(MPStep(step.major + offset, step.minor + offset, step.formula))
-            else:
-                steps.append(step)
-    return verify(Derivation(calculus, frozenset(hyps), tuple(steps)))
 
 
 def prune(d: Derivation) -> Derivation:
@@ -321,13 +290,3 @@ def prune(d: Derivation) -> Derivation:
         remap[i] = len(out)
         out.append(s)
     return Derivation(d.calculus, d.hypotheses, tuple(out))
-
-
-def in_calculus(d: Derivation, calculus: CalculusId) -> Derivation:
-    """Re-tag a derivation in an extending calculus (monotonicity)."""
-    if not calculus.extends(d.calculus):
-        raise CheckError([StepError(-1, "calculus-mismatch",
-                                    f"{calculus} does not extend {d.calculus}")])
-    if calculus is d.calculus:
-        return d
-    return verify(Derivation(calculus, d.hypotheses, d.steps))

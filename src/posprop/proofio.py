@@ -103,6 +103,13 @@ def to_json(d: Derivation) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _step_index(n) -> int:
+    """A JSON step number (1-based, a plain integer) as a step index."""
+    if type(n) is not int:
+        raise ProofFormatError(f"step number {n!r} is not an integer")
+    return n - 1
+
+
 def from_json(text: str) -> Derivation:
     try:
         doc = json.loads(text)
@@ -110,6 +117,8 @@ def from_json(text: str) -> Derivation:
         raise ProofFormatError(f"not a JSON document: {exc}") from exc
     try:
         calculus = _CALCULI[doc["calculus"]]
+        if type(doc["hypotheses"]) is not list or type(doc["steps"]) is not list:
+            raise ProofFormatError("hypotheses and steps must be lists")
         hyps = frozenset(parse(h) for h in doc["hypotheses"])
         steps = []
         for s in doc["steps"]:
@@ -118,7 +127,8 @@ def from_json(text: str) -> Derivation:
             elif s["kind"] == "hyp":
                 steps.append(HypStep(parse(s["formula"])))
             elif s["kind"] == "mp":
-                steps.append(MPStep(s["major"] - 1, s["minor"] - 1, parse(s["formula"])))
+                steps.append(MPStep(_step_index(s["major"]), _step_index(s["minor"]),
+                                    parse(s["formula"])))
             else:
                 raise ProofFormatError(f"unknown step kind {s['kind']!r}")
     except (KeyError, TypeError) as exc:

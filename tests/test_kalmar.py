@@ -12,10 +12,10 @@ from posprop.formula import (Atom, Disj, Impl, atoms_of, delta_set,
                              pos_encode, Fragment)
 from posprop.kernel import CalculusId, check, hypothesis
 from posprop.semantics import assignments_over, evaluate, is_tautology
-from posprop.kalmar import (LineCertificate, MissingPartition, NotTautology,
-                            build_line, derive_from_hypotheses, eliminate,
-                            lemma_3_1, lemma_3_2, lemma_3_3, lemma_3_4,
-                            lemma_3_5, lemma_4_1, lemma_4_2, prove)
+from posprop.kalmar import (LineCertificate, NotTautology, build_line,
+                            derive_from_hypotheses, eliminate, lemma_3_1,
+                            lemma_3_2, lemma_3_3, lemma_3_4, lemma_3_5,
+                            lemma_4_1, lemma_4_2, prove)
 from posprop.tactics import TacticError
 
 
@@ -154,40 +154,12 @@ class TestBuildLine:
 
 
 class TestEliminate:
-    def test_no_atoms_needs_closed_leaf(self):
-        # degenerate: zero atoms cannot happen for real formulas, but the
-        # recursion must hand back the single leaf unchanged
-        from posprop.tactics import l2_5
-        a = parse("p1 -> p1")
-        d = l2_5(Atom(1), CalculusId.ID)
-        out = eliminate(a, frozenset(), {frozenset(): d}, CalculusId.ID)
-        assert out.conclusion == a
-
     def test_full_pipeline(self):
         a = parse("p1 v (p1 -> p2)")
-        atoms = atoms_of(a)
-        leaves = {}
-        for v in assignments_over(atoms):
-            h = frozenset(x for x in atoms if v[x.index])
-            leaves[h] = build_line(v, a, CalculusId.ID).derivation
-        d = eliminate(a, atoms, leaves, CalculusId.ID)
+        d = eliminate(a, CalculusId.ID)
         assert d.conclusion == a
         assert not d.hypotheses
         assert check(d) == []
-
-    def test_missing_partition(self):
-        a = parse("p1 v (p1 -> p2)")
-        atoms = atoms_of(a)
-        with pytest.raises(MissingPartition):
-            eliminate(a, atoms, {}, CalculusId.ID)
-
-    def test_leaf_conclusion_mismatch(self):
-        a = parse("p1 -> p1")
-        wrong = hypothesis(CalculusId.ID, Atom(1))
-        with pytest.raises(TacticError):
-            eliminate(a, frozenset([Atom(1)]),
-                      {frozenset(): wrong, frozenset([Atom(1)]): wrong},
-                      CalculusId.ID)
 
 
 class TestProve:

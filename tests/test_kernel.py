@@ -1,11 +1,12 @@
+import json
+
 import pytest
 
 from posprop.formula import Atom, Fragment, parse
 from posprop.kernel import (AxiomStep, CalculusId, CheckError, Derivation,
-                            HypStep, MPStep, SchemeId, axiom, check, concat,
-                            hypothesis, in_calculus, instantiate_scheme,
-                            match_scheme, prune, verify, _instantiate,
-                            _is_instance)
+                            HypStep, MPStep, SchemeId, check, hypothesis,
+                            instantiate_scheme, match_scheme, prune, verify,
+                            _instantiate, _is_instance)
 from posprop.proofio import (ProofFormatError, from_json, read_text, to_json,
                              write_text)
 
@@ -122,38 +123,9 @@ class TestCheck:
 
 
 class TestConstructors:
-    def test_axiom(self):
-        d = axiom(CalculusId.I, SchemeId.AX1, {"A": Atom(1), "B": Atom(2)})
-        assert d.conclusion == parse("p1 -> p2 -> p1")
-        assert not d.hypotheses
-
-    def test_axiom_outside_calculus(self):
-        with pytest.raises(CheckError):
-            axiom(CalculusId.I, SchemeId.AX9, {"A": Atom(1), "B": Atom(2)})
-
     def test_hypothesis(self):
         d = hypothesis(CalculusId.ID, parse("p1 v p2"))
         assert d.conclusion == parse("p1 v p2")
-
-    def test_concat_reoffsets(self):
-        imp = parse("p1 -> p2")
-        d1 = hypothesis(CalculusId.I, imp)
-        d2 = Derivation(CalculusId.I, frozenset([imp, Atom(1)]),
-                        (HypStep(imp), HypStep(Atom(1)), MPStep(0, 1, Atom(2))))
-        d = concat(d1, d2)
-        assert d.conclusion == Atom(2)
-        assert check(d) == []
-
-    def test_in_calculus_monotone(self):
-        d = axiom(CalculusId.I, SchemeId.AX1, {"A": Atom(1), "B": Atom(2)})
-        lifted = in_calculus(d, CalculusId.P)
-        assert lifted.calculus is CalculusId.P
-        assert check(lifted) == []
-
-    def test_in_calculus_rejects_restriction(self):
-        d = hypothesis(CalculusId.ID, parse("p1 v p2"))
-        with pytest.raises(CheckError):
-            in_calculus(d, CalculusId.IC)
 
 
 class TestPrune:
@@ -228,6 +200,18 @@ class TestProofIO:
     def test_malformed_json_rejected(self, text):
         with pytest.raises(ProofFormatError):
             from_json(text)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda doc: doc["steps"][2].update(major=1.5),
+        lambda doc: doc["steps"][2].update(minor=True),
+        lambda doc: doc.update(hypotheses="p1"),
+        lambda doc: doc.update(steps={"1": doc["steps"][0]}),
+    ], ids=["float-index", "bool-index", "string-hypotheses", "object-steps"])
+    def test_ill_typed_json_rejected(self, mangle):
+        doc = json.loads(to_json(self.sample()))
+        mangle(doc)
+        with pytest.raises(ProofFormatError):
+            from_json(json.dumps(doc))
 
     def test_checked_after_reading(self):
         d = read_text(write_text(self.sample()))

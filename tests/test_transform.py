@@ -269,11 +269,11 @@ class TestCheckOnce:
         assert all(hyps == {c} for hyps, c in log[:-1])
 
     def test_prove_P_reduction(self, fresh_proof_log):
+        # the conjuncts' ID proofs are checked inside the assembled proof only
         f = parse("p1 & p2 -> p2 & p1")
         prove_P_reduction(f)
         log = list(fresh_proof_log)
-        closed = [c for hyps, c in log if not hyps]
-        assert closed == list(decompose(f, CalculusId.P).conjuncts) + [f]
+        assert [c for hyps, c in log if not hyps] == [f]
         assert all(hyps == {c} for hyps, c in log if hyps)
 
     def test_prove_I(self, fresh_proof_log):
