@@ -14,7 +14,8 @@ from collections import Counter
 from .formula import (Fragment, ParseError, fragment_of, parse, pretty)
 from .kernel import (AxiomStep, CalculusId, CheckError, check, verify)
 from .kalmar import NotTautology, prove
-from .proofio import ProofFormatError, read_text, to_json, write_text
+from .proofio import (ProofFormatError, from_json, read_text, to_json,
+                      write_text)
 from .semantics import find_countermodel, format_assignment
 from .transform import (decompose, decompose_to_implicative, gamma,
                         is_gamma_normal, prove_I, prove_IC, prove_P_reduction,
@@ -33,10 +34,14 @@ def _parse_formula(text: str):
 
 
 def _read_proof(path: str):
-    """The derivation in a proof file; exits 2 if it cannot be read."""
+    """The derivation in a proof file, text or JSON (a file whose first
+    non-blank character is `{`); exits 2 if it cannot be read."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return read_text(fh.read())
+            text = fh.read()
+        if text.lstrip().startswith("{"):
+            return from_json(text)
+        return read_text(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
     except (ProofFormatError, ParseError, UnicodeDecodeError) as exc:

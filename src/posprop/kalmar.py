@@ -3,7 +3,8 @@
 For a fixed assignment each subformula gets a "line": from the true atoms,
 derive the formula's positive encoding (when true) or negative encoding
 (when false) over the false atoms.  Lines are built by structural
-recursion (the lemma_3_* / lemma_4_* constructors below).  eliminate
+recursion (the lemma_3_* / lemma_4_* constructors below, which share four
+encoding moves: _widen, _weaken, _or_chain and _close).  eliminate
 then merges them down a decision tree that splits on the atoms, greatest
 first in the order R: each inner node discharges its atom from the true
 child by the deduction theorem and joins the false child by case
@@ -25,7 +26,7 @@ from .formula import (Atom, Conj, Disj, Formula, Impl, atoms_of, delta_set,
 # perfbench/spans.py
 from .kernel import (CalculusId, Derivation, SchemeId, hypothesis, prune,
                      verify)
-from .semantics import (entailment_countermodel, evaluate, find_countermodel)
+from .semantics import evaluate, find_countermodel
 from .tactics import (ProofBuilder, TacticError, _compose, _deduction_body,
                       _elim, _inject, deduction, l2_5, l2_13, l2_17, l2_18,
                       l2_25)
@@ -63,18 +64,55 @@ def _premise_to(b: ProofBuilder, premise_index: int, leaves: dict) -> int:
     return b.mp(imp, premise_index)
 
 
+def _widen(b: ProofBuilder, v: dict, premise: int, part: Formula, intro: int,
+           whole: Formula) -> int:
+    """From the line (Delta[v;part])^part and an intro line part -> whole,
+    the line (Delta[v;whole])^whole."""
+    target = pos_encode(delta_set(v, whole), whole)
+    leaves = _chain_into(b, delta_set(v, part), target)
+    leaves[part] = _compose(b, intro, _inject(b, whole, target))
+    return _premise_to(b, premise, leaves)
+
+
+def _weaken(b: ProofBuilder, v: dict, d: Derivation, part: Formula,
+            c_chain: Formula) -> int:
+    """From d, concluding part -> (its false atoms), spliced after the
+    chain lines, the line part -> c_chain, c_chain over a superset."""
+    atoms = r_sorted(delta_set(v, part))
+    mid = _elim(b, disj_chain(atoms), _chain_into(b, atoms, c_chain))
+    return _compose(b, b.include(d), mid)
+
+
+def _or_chain(b: ProofBuilder, v: dict, d: Derivation, part: Formula,
+              c_chain: Formula) -> int:
+    """From d, concluding (Delta[v;part])^part, spliced after the chain
+    lines, the line c_chain v part, c_chain over a superset of Delta."""
+    into_chain = _chain_into(b, delta_set(v, part), c_chain)
+    ax4 = b.axiom(SchemeId.AX4, A=c_chain, B=part)
+    leaves = {atom: _compose(b, idx, ax4) for atom, idx in into_chain.items()}
+    leaves[part] = b.axiom(SchemeId.AX5, A=part, B=c_chain)
+    return _premise_to(b, b.include(d), leaves)
+
+
+def _close(b: ProofBuilder, v: dict, premise: int, whole: Formula) -> int:
+    """From the line c_chain v whole, c_chain the chain of the false atoms
+    of whole, the line (Delta[v;whole])^whole."""
+    delta = delta_set(v, whole)
+    target = pos_encode(delta, whole)
+    c_chain = disj_chain(r_sorted(delta))
+    leaves = {c_chain: _elim(b, c_chain, _chain_into(b, delta, target)),
+              whole: _inject(b, whole, target)}
+    return _premise_to(b, premise, leaves)
+
+
 def lemma_3_1(v: dict, a: Formula, bf: Formula, db: Derivation) -> Derivation:
     """(Delta[v;B])^B ⊢ (Delta[v;A->B])^(A->B), for v(B) = T."""
     if not evaluate(v, bf):
         raise TacticError("3.1 needs the consequent true")
-    imp = Impl(a, bf)
-    target = pos_encode(delta_set(v, imp), imp)
     b = ProofBuilder(db.calculus)
     premise = b.include(db)
-    leaves = _chain_into(b, delta_set(v, bf), target)
     ax1 = b.axiom(SchemeId.AX1, A=bf, B=a)         # B -> (A -> B)
-    leaves[bf] = _compose(b, ax1, _inject(b, imp, target))
-    return b.build(conclusion=_premise_to(b, premise, leaves),
+    return b.build(conclusion=_widen(b, v, premise, bf, ax1, Impl(a, bf)),
                    hypotheses=db.hypotheses)
 
 
@@ -83,20 +121,13 @@ def lemma_3_2(v: dict, a: Formula, bf: Formula, da: Derivation) -> Derivation:
     if evaluate(v, a):
         raise TacticError("3.2 needs the antecedent false")
     imp = Impl(a, bf)
-    c_atoms = r_sorted(delta_set(v, imp))
-    c_chain = disj_chain(c_atoms)
-    target = pos_encode(delta_set(v, imp), imp)
+    c_chain = disj_chain(r_sorted(delta_set(v, imp)))
     b = ProofBuilder(da.calculus)
-    premise = b.include(da)                         # a -> (its false atoms)
-    a_atoms = r_sorted(delta_set(v, a))
-    mid = _elim(b, disj_chain(a_atoms), _chain_into(b, a_atoms, c_chain))
-    a_c = _compose(b, premise, mid)                 # a -> c_chain
+    a_c = _weaken(b, v, da, a, c_chain)            # a -> c_chain
     split = b.include(l2_13(a, c_chain, bf, da.calculus),
                       hyp_map={Impl(a, c_chain): a_c})  # c_chain v (a -> b)
-    leaves = _chain_into(b, c_atoms, target)
-    pieces = {c_chain: _elim(b, c_chain, leaves), imp: _inject(b, imp, target)}
-    out = b.mp(_elim(b, Disj(c_chain, imp), pieces), split)
-    return b.build(conclusion=out, hypotheses=da.hypotheses)
+    return b.build(conclusion=_close(b, v, split, imp),
+                   hypotheses=da.hypotheses)
 
 
 def lemma_3_3(v: dict, a: Formula, bf: Formula, da: Derivation,
@@ -104,46 +135,26 @@ def lemma_3_3(v: dict, a: Formula, bf: Formula, da: Derivation,
     """(Delta[v;A])^A, (Delta[v;B])^~B ⊢ (Delta[v;A->B])^~(A->B), v(B) = F."""
     if evaluate(v, bf):
         raise TacticError("3.3 needs the consequent false")
-    imp = Impl(a, bf)
-    c_atoms = r_sorted(delta_set(v, imp))
-    c_chain = disj_chain(c_atoms)
+    c_chain = disj_chain(r_sorted(delta_set(v, Impl(a, bf))))
     b = ProofBuilder(da.calculus)
-
-    # (i) positive side into (c_chain v a)
-    chain_or_a = Disj(c_chain, a)
-    into_chain = _chain_into(b, delta_set(v, a), c_chain)
-    ax4 = b.axiom(SchemeId.AX4, A=c_chain, B=a)
-    leaves = {atom: _compose(b, idx, ax4) for atom, idx in into_chain.items()}
-    leaves[a] = b.axiom(SchemeId.AX5, A=a, B=c_chain)
-    cva = _premise_to(b, b.include(da), leaves)
-
-    # (ii) negative side composed up to b -> c_chain
-    b_atoms = r_sorted(delta_set(v, bf))
-    mid = _elim(b, disj_chain(b_atoms), _chain_into(b, b_atoms, c_chain))
-    b_c = _compose(b, b.include(db), mid)
-
-    # (iii) close with the 2.17 schema
+    cva = _or_chain(b, v, da, a, c_chain)          # c_chain v a
+    b_c = _weaken(b, v, db, bf, c_chain)           # b -> c_chain
     out = b.include(l2_17(c_chain, a, bf, da.calculus),
-                    hyp_map={chain_or_a: cva, Impl(bf, c_chain): b_c})
+                    hyp_map={Disj(c_chain, a): cva, Impl(bf, c_chain): b_c})
     return b.build(conclusion=out, hypotheses=da.hypotheses | db.hypotheses)
 
 
 def lemma_3_4(v: dict, a: Formula, bf: Formula, d: Derivation,
               side: str) -> Derivation:
     """(Delta[v;X])^X ⊢ (Delta[v;A v B])^(A v B), X the true disjunct."""
-    disj = Disj(a, bf)
     true_part = a if side == "left" else bf
     if not evaluate(v, true_part):
         raise TacticError("3.4 needs the certified disjunct true")
-    target = pos_encode(delta_set(v, disj), disj)
     b = ProofBuilder(d.calculus)
-    leaves = _chain_into(b, delta_set(v, true_part), target)
-    if side == "left":
-        intro = b.axiom(SchemeId.AX4, A=a, B=bf)
-    else:
-        intro = b.axiom(SchemeId.AX5, A=bf, B=a)
-    leaves[true_part] = _compose(b, intro, _inject(b, disj, target))
-    return b.build(conclusion=_premise_to(b, b.include(d), leaves),
+    intro = (b.axiom(SchemeId.AX4, A=a, B=bf) if side == "left"
+             else b.axiom(SchemeId.AX5, A=bf, B=a))     # X -> A v B
+    return b.build(conclusion=_widen(b, v, b.include(d), true_part, intro,
+                                     Disj(a, bf)),
                    hypotheses=d.hypotheses)
 
 
@@ -152,18 +163,11 @@ def lemma_3_5(v: dict, a: Formula, bf: Formula, da: Derivation,
     """(Delta[v;A])^~A, (Delta[v;B])^~B ⊢ (Delta[v;A v B])^~(A v B)."""
     if evaluate(v, a) or evaluate(v, bf):
         raise TacticError("3.5 needs both disjuncts false")
-    disj = Disj(a, bf)
-    c_chain = disj_chain(r_sorted(delta_set(v, disj)))
+    c_chain = disj_chain(r_sorted(delta_set(v, Disj(a, bf))))
     b = ProofBuilder(da.calculus)
-
-    def lifted(d: Derivation, part: Formula) -> int:
-        part_atoms = r_sorted(delta_set(v, part))
-        mid = _elim(b, disj_chain(part_atoms),
-                    _chain_into(b, part_atoms, c_chain))
-        return _compose(b, b.include(d), mid)
-
     ax6 = b.axiom(SchemeId.AX6, A=a, B=bf, C=c_chain)
-    out = b.mp(b.mp(ax6, lifted(da, a)), lifted(db, bf))
+    out = b.mp(b.mp(ax6, _weaken(b, v, da, a, c_chain)),
+               _weaken(b, v, db, bf, c_chain))
     return b.build(conclusion=out, hypotheses=da.hypotheses | db.hypotheses)
 
 
@@ -179,47 +183,28 @@ def lemma_4_1(v: dict, a: Formula, bf: Formula, da: Derivation,
         ax9 = b.axiom(SchemeId.AX9, A=a, B=bf)
         out = b.mp(b.mp(ax9, b.include(da)), b.include(db))
         return b.build(conclusion=out, hypotheses=da.hypotheses | db.hypotheses)
-
-    c_atoms = r_sorted(delta)
-    c_chain = disj_chain(c_atoms)
-    target = pos_encode(delta, conj)
-
-    def chain_or(d: Derivation, part: Formula) -> int:
-        into_chain = _chain_into(b, delta_set(v, part), c_chain)
-        ax4 = b.axiom(SchemeId.AX4, A=c_chain, B=part)
-        leaves = {atom: _compose(b, idx, ax4) for atom, idx in into_chain.items()}
-        leaves[part] = b.axiom(SchemeId.AX5, A=part, B=c_chain)
-        return _premise_to(b, b.include(d), leaves)
-
-    cva, cvb = chain_or(da, a), chain_or(db, bf)
+    c_chain = disj_chain(r_sorted(delta))
+    cva, cvb = _or_chain(b, v, da, a, c_chain), _or_chain(b, v, db, bf, c_chain)
     ax9 = b.axiom(SchemeId.AX9, A=Disj(c_chain, a), B=Disj(c_chain, bf))
     packed = b.mp(b.mp(ax9, cva), cvb)
     distro = l2_25(c_chain, a, bf, da.calculus)     # thesis-form pair
     undistributed = b.mp(b.include(distro.backward), packed)  # c_chain v (a&b)
-    pieces = {c_chain: _elim(b, c_chain, _chain_into(b, c_atoms, target)),
-              conj: _inject(b, conj, target)}
-    out = b.mp(_elim(b, Disj(c_chain, conj), pieces), undistributed)
-    return b.build(conclusion=out, hypotheses=da.hypotheses | db.hypotheses)
+    return b.build(conclusion=_close(b, v, undistributed, conj),
+                   hypotheses=da.hypotheses | db.hypotheses)
 
 
-def lemma_4_2(v: dict, a: Formula, bf: Formula, da: Derivation):
-    """(Delta[v;A])^~A ⊢ (Delta[v;A&B])^~(A&B) and the B&A variant,
-    for v(A) = F."""
-    if evaluate(v, a):
+def lemma_4_2(v: dict, a: Formula, bf: Formula, d: Derivation,
+              side: str) -> Derivation:
+    """(Delta[v;X])^~X ⊢ (Delta[v;A&B])^~(A&B), X the false conjunct."""
+    false_part, scheme = ((a, SchemeId.AX7) if side == "left"
+                          else (bf, SchemeId.AX8))
+    if evaluate(v, false_part):
         raise TacticError("4.2 needs the certified conjunct false")
-
-    def one(conj: Formula, scheme: SchemeId) -> Derivation:
-        c_atoms = r_sorted(delta_set(v, conj))
-        c_chain = disj_chain(c_atoms)
-        b = ProofBuilder(da.calculus)
-        a_atoms = r_sorted(delta_set(v, a))
-        mid = _elim(b, disj_chain(a_atoms), _chain_into(b, a_atoms, c_chain))
-        a_c = _compose(b, b.include(da), mid)       # a -> c_chain
-        proj = b.axiom(scheme, A=conj.left, B=conj.right)  # conj -> a
-        return b.build(conclusion=_compose(b, proj, a_c),
-                       hypotheses=da.hypotheses)
-
-    return (one(Conj(a, bf), SchemeId.AX7), one(Conj(bf, a), SchemeId.AX8))
+    c_chain = disj_chain(r_sorted(delta_set(v, Conj(a, bf))))
+    b = ProofBuilder(d.calculus)
+    x_c = _weaken(b, v, d, false_part, c_chain)     # X -> c_chain
+    proj = b.axiom(scheme, A=a, B=bf)               # A & B -> X
+    return b.build(conclusion=_compose(b, proj, x_c), hypotheses=d.hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +252,8 @@ def build_line(v: dict, a: Formula, calc: CalculusId) -> LineCertificate:
         if evaluate(v, f.left) and evaluate(v, f.right):
             return lemma_4_1(v, f.left, f.right, rec(f.left), rec(f.right))
         if not evaluate(v, f.left):
-            return lemma_4_2(v, f.left, f.right, rec(f.left))[0]
-        return lemma_4_2(v, f.right, f.left, rec(f.right))[1]
+            return lemma_4_2(v, f.left, f.right, rec(f.left), "left")
+        return lemma_4_2(v, f.left, f.right, rec(f.right), "right")
 
     raw = rec(a)
     gamma = gamma_set(v, a)
@@ -346,16 +331,11 @@ def synthesize(a: Formula, calc: CalculusId) -> Derivation:
 
 
 def derive_from_hypotheses(hyps, a: Formula, calc: CalculusId) -> Derivation:
-    """Checked K ⊢ a whenever K semantically entails a: prove the
-    implication chain over K, then peel it by MP against each hypothesis.
+    """Checked K ⊢ a whenever K semantically entails a: synthesize the chain
+    h1 -> ... -> hn -> a, a tautology exactly when K entails a (with the
+    same first countermodel), and peel it by MP against each hypothesis.
     Only the result is checked, not the closed proof of the chain."""
     hyps = list(hyps)
-    for f in hyps + [a]:
-        if not calc.fragment.admits(f):
-            raise TacticError(f"{f} outside the {calc} fragment")
-    countermodel = entailment_countermodel(hyps, a)
-    if countermodel is not None:
-        raise NotTautology(countermodel)
     chained = a
     for h in reversed(hyps):
         chained = Impl(h, chained)

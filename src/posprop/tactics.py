@@ -363,23 +363,20 @@ def _rebuild_conjunction(b: ProofBuilder, target: Formula, table: dict) -> int:
     return b.mp(b.mp(ax9, left), right)
 
 
-def conjoin(ds) -> Derivation:
-    """From closed ⊢ B1, ..., ⊢ Bn build ⊢ B1 & ... & Bn (right-associated).
-    The result is unchecked."""
+def conjoin(ds, calculus: CalculusId = None) -> Derivation:
+    """From closed ⊢ B1, ..., ⊢ Bn build ⊢ B1 & ... & Bn (right-associated)
+    in calculus, by default the first part's; it must extend the calculus
+    of every part.  The result is unchecked."""
     ds = list(ds)
     if not ds:
         raise TacticError("nothing to conjoin")
-    calculus = ds[0].calculus
+    calculus = calculus or ds[0].calculus
     if any(d.hypotheses for d in ds):
         raise TacticError("conjoin requires closed derivations")
     if SchemeId.AX9 not in calculus.schemes:
         raise TacticError(f"{calculus} has no conjunction schemes")
     b = ProofBuilder(calculus)
-    table: dict = {}
-    for d in ds:
-        if d.calculus is not calculus:
-            raise TacticError("conjoin requires a single calculus")
-        table.setdefault(d.conclusion, b.include(d))
+    table = {d.conclusion: b.include(d) for d in ds}  # dedup: one line each
     target = conj_chain([d.conclusion for d in ds])
     return b.build(conclusion=_rebuild_conjunction(b, target, table),
                    hypotheses=())

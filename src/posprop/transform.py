@@ -10,9 +10,9 @@ implicative one, B v C  ~>  (B -> C) -> C, together with a step-by-step
 translation of ID derivations into I derivations.
 
 On top of these sit the indirect synthesis routes: prove_I (via ID and
-translation), prove_IC and prove_P_reduction (via gamma decomposition).
-The equivalence builders return unchecked pairs; translate_derivation and
-the routes run the kernel checker once on their result.
+translation), prove_IC and prove_P_reduction (one gamma-decomposition
+route with two part provers).  The equivalence builders return unchecked
+pairs; translate_derivation and the routes check their result once.
 """
 
 from __future__ import annotations
@@ -21,20 +21,19 @@ from dataclasses import dataclass
 
 from .formula import (Atom, Conj, Disj, Formula, Impl, conj_chain, replace_at,
                       subformula_at)
-from .kernel import (AxiomStep, CalculusId, Derivation, HypStep, MPStep,
-                     SchemeId, match_scheme, verify)
+from .kernel import (CalculusId, Derivation, MPStep, SchemeId, match_scheme,
+                     verify)
 # `prove` is not called here; it stays bound as transform.prove for the
 # per-module tracer in perfbench/spans.py
 from .kalmar import NotTautology, prove, synthesize
 from .semantics import find_countermodel
 # `deduction` is not called here; it stays bound as transform.deduction for
 # the per-module tracer in perfbench/spans.py
-from .tactics import (DERIVABILITY, THESIS, EquivalencePair, ProofBuilder,
+from .tactics import (DERIVABILITY, EquivalencePair, ProofBuilder,
                       TacticError, as_derivability, compose_pairs, conjoin,
                       _discharge, conj_reassociation, deduction, l2_7, l2_8,
-                      l2_18, l2_19,
-                      l2_21, l2_22, l2_25, l2_26, l5_1, reflexive_pair,
-                      substitute_equivalents)
+                      l2_18, l2_19, l2_21, l2_22, l2_25, l2_26, l5_1,
+                      reflexive_pair, substitute_equivalents)
 
 # ---------------------------------------------------------------------------
 # gamma: pushing & to the top
@@ -195,7 +194,8 @@ def _disj_as_impl_pair(x: Formula, y: Formula,
 
 def tau_equivalence(a: Formula,
                     calculus: CalculusId = CalculusId.ID) -> EquivalencePair:
-    """Derivability pair between a and tau(a), inside ID (unchecked)."""
+    """Derivability pair between a and tau(a), built in calculus, ID or
+    one that extends it (unchecked)."""
     if not CalculusId.ID.fragment.admits(a):
         raise TacticError(f"tau is defined on the ID fragment only, got {a}")
     acc = reflexive_pair(a, calculus)
@@ -221,15 +221,17 @@ def translate_derivation(d: Derivation) -> Derivation:
         raise TacticError(f"translation takes ID derivations, got {d.calculus}")
     if d.hypotheses:
         raise TacticError("translation takes closed derivations")
-    verify(d)
+    return verify(_translate(verify(d)))
+
+
+def _translate(d: Derivation) -> Derivation:
+    """translate_derivation's mapping of a valid d, without the checks."""
     b = ProofBuilder(CalculusId.I)
     lines = {}
     for i, step in enumerate(d.steps):
         if isinstance(step, MPStep):
             lines[i] = b.mp(lines[step.major], lines[step.minor])
             continue
-        if isinstance(step, HypStep):  # unreachable: d is closed
-            raise TacticError("hypothesis step in a closed derivation")
         subst = match_scheme(step.scheme, step.formula)
         sub = {k: tau(v) for k, v in subst.items()}
         if step.scheme in (SchemeId.AX1, SchemeId.AX2, SchemeId.AX3):
@@ -246,7 +248,7 @@ def translate_derivation(d: Derivation) -> Derivation:
             lines[i] = b.include(closed)
         else:
             raise TacticError(f"{step.scheme} has no implicative image")
-    return verify(b.build(conclusion=lines[len(d.steps) - 1], hypotheses=()))
+    return b.build(conclusion=lines[len(d.steps) - 1], hypotheses=())
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +257,25 @@ def translate_derivation(d: Derivation) -> Derivation:
 def prove_I(a: Formula) -> Derivation:
     """Closed I derivation of an implicative tautology, via ID synthesis
     followed by translation (tau is the identity on implicative formulas).
-    The ID proof is checked once, by translate_derivation on the way in."""
+    Only the I proof is checked, not the ID proof it is translated from."""
     if not CalculusId.I.fragment.admits(a):
         raise TacticError(f"{a} outside the implicative fragment")
-    return translate_derivation(synthesize(a, CalculusId.ID))
+    return verify(_translate(synthesize(a, CalculusId.ID)))
 
 
-def _pair_in_calculus(p: EquivalencePair, calculus: CalculusId) -> EquivalencePair:
-    """Re-tag both halves in an extending calculus (unchecked)."""
-    return EquivalencePair(Derivation(calculus, p.forward.hypotheses,
-                                      p.forward.steps),
-                           Derivation(calculus, p.backward.hypotheses,
-                                      p.backward.steps), p.mode)
-
-
-def _assemble(a: Formula, dec: Decomposition, parts,
-              calculus: CalculusId) -> Derivation:
-    """Conjoin closed proofs of the decomposition's conjuncts and come back
-    through the equivalence to a itself; the result is checked."""
+def _prove_by_gamma(a: Formula, calculus: CalculusId, prove_part) -> Derivation:
+    """Closed derivation of a tautology a in calculus: decompose a into
+    &-free conjuncts, prove each with prove_part (which raises TacticError
+    outside its fragment), conjoin them and come back through the
+    equivalence.  Only the assembled proof is checked."""
+    if not calculus.fragment.admits(a):
+        raise TacticError(f"{a} outside the {calculus} fragment")
+    countermodel = find_countermodel(a)
+    if countermodel is not None:
+        raise NotTautology(countermodel)
+    dec = decompose(a, calculus)
     b = ProofBuilder(calculus)
-    whole = b.include(conjoin(parts))
+    whole = b.include(conjoin([prove_part(c) for c in dec.conjuncts], calculus))
     out = b.include(dec.equivalence.backward, hyp_map={dec.chain: whole})
     return verify(b.build(conclusion=out, hypotheses=()))
 
@@ -282,38 +283,15 @@ def _assemble(a: Formula, dec: Decomposition, parts,
 def prove_IC(a: Formula) -> Derivation:
     """Closed IC derivation of a tautology of the ->/& fragment: gamma
     splits it into implicative parts, each proved via prove_I."""
-    if not CalculusId.IC.fragment.admits(a):
-        raise TacticError(f"{a} outside the IC fragment")
-    countermodel = find_countermodel(a)
-    if countermodel is not None:
-        raise NotTautology(countermodel)
-    dec = decompose(a, CalculusId.IC)
-    parts = []
-    for conjunct in dec.conjuncts:
-        if not CalculusId.I.fragment.admits(conjunct):
-            raise TacticError(f"gamma left a non-implicative conjunct {conjunct}")
-        parts.append(Derivation(CalculusId.IC, frozenset(),
-                                prove_I(conjunct).steps))
-    return _assemble(a, dec, parts, CalculusId.IC)
+    return _prove_by_gamma(a, CalculusId.IC, prove_I)
 
 
 def prove_P_reduction(a: Formula) -> Derivation:
     """Closed P derivation of a positive tautology by the reduction route:
     gamma decomposition, ID synthesis per conjunct, reassembly.  Only the
     assembled proof is checked."""
-    if not CalculusId.P.fragment.admits(a):
-        raise TacticError(f"{a} outside the positive fragment")
-    countermodel = find_countermodel(a)
-    if countermodel is not None:
-        raise NotTautology(countermodel)
-    dec = decompose(a, CalculusId.P)
-    parts = []
-    for conjunct in dec.conjuncts:
-        if not CalculusId.ID.fragment.admits(conjunct):
-            raise TacticError(f"gamma left a conjunction inside {conjunct}")
-        parts.append(Derivation(CalculusId.P, frozenset(),
-                                synthesize(conjunct, CalculusId.ID).steps))
-    return _assemble(a, dec, parts, CalculusId.P)
+    return _prove_by_gamma(a, CalculusId.P,
+                           lambda part: synthesize(part, CalculusId.ID))
 
 
 def decompose_to_implicative(a: Formula) -> Decomposition:
@@ -327,8 +305,7 @@ def decompose_to_implicative(a: Formula) -> Decomposition:
         image = tau(conjunct)
         if image == conjunct:
             continue
-        inner = _pair_in_calculus(tau_equivalence(conjunct, CalculusId.ID),
-                                  CalculusId.P)
+        inner = tau_equivalence(conjunct, CalculusId.P)
         path = ("right",) * j if j == n - 1 else ("right",) * j + ("left",)
         step = substitute_equivalents(cur, path, inner)
         pair = compose_pairs(pair, step)

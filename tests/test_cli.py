@@ -5,7 +5,7 @@ import pytest
 from posprop.cli import main
 from posprop.formula import parse
 from posprop.kernel import CalculusId, check
-from posprop.proofio import read_text
+from posprop.proofio import from_json, read_text
 
 
 def run(capsys, *argv):
@@ -99,6 +99,38 @@ def test_non_utf8_proof_file_is_malformed(capsys, tmp_path, command):
     path.write_bytes(b"\xffcalculus: ID\n1. axiom Ax1 p1 -> p2 -> p1\n")
     code, _, err = run(capsys, command, str(path))
     assert code == 2 and err.startswith("malformed proof file:")
+
+
+class TestJsonProofFile:
+    """A proof written with --format json is read back by check, stats and
+    translate."""
+
+    def prove_json(self, capsys, tmp_path, text):
+        path = tmp_path / "proof.json"
+        code, out, _ = run(capsys, "prove", text, "-c", "ID",
+                           "--format", "json", "-o", str(path))
+        assert code == 0 and out == ""
+        return path, len(from_json(path.read_text()))
+
+    def test_check_and_stats(self, capsys, tmp_path):
+        path, n = self.prove_json(capsys, tmp_path, "p1 v (p1 -> p2)")
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0 and out.startswith(f"ok: {n} steps in ID")
+        code, out, _ = run(capsys, "stats", str(path))
+        assert code == 0 and f"steps: {n}\n" in out
+
+    def test_translate(self, capsys, tmp_path):
+        path, _ = self.prove_json(capsys, tmp_path, "p1 v (p1 -> p2)")
+        code, out, _ = run(capsys, "translate", str(path))
+        assert code == 0
+        assert check(read_text(out)) == []
+
+    @pytest.mark.parametrize("command", ["check", "translate", "stats"])
+    def test_malformed_json(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_text('  {"calculus": "ID", "steps": [\n')
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2 and err.startswith("malformed proof file:")
 
 
 _DEEP = "(" * 1000 + "p1" + ")" * 1000 + " -> p1"

@@ -109,7 +109,8 @@ class TestLemmaConstructors:
     def test_4_2_both_orders(self):
         v = {1: False, 2: True}
         da = build_line(v, Atom(1), CalculusId.P).derivation
-        d_ab, d_ba = lemma_4_2(v, Atom(1), Atom(2), da)
+        d_ab = lemma_4_2(v, Atom(1), Atom(2), da, "left")
+        d_ba = lemma_4_2(v, Atom(2), Atom(1), da, "right")
         assert d_ab.conclusion == parse("p1 & p2 -> p1")
         assert d_ba.conclusion == parse("p2 & p1 -> p1")
         assert check(d_ab) == [] and check(d_ba) == []

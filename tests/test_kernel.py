@@ -1,14 +1,19 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from posprop.formula import Atom, Fragment, parse
+from posprop.kalmar import build_line, prove
 from posprop.kernel import (AxiomStep, CalculusId, CheckError, Derivation,
                             HypStep, MPStep, SchemeId, check, hypothesis,
                             instantiate_scheme, match_scheme, prune, verify,
                             _instantiate, _is_instance)
 from posprop.proofio import (ProofFormatError, from_json, read_text, to_json,
                              write_text)
+from posprop.semantics import entails
+
+from test_formula import formulas
 
 
 def codes(errors):
@@ -126,6 +131,76 @@ class TestConstructors:
     def test_hypothesis(self):
         d = hypothesis(CalculusId.ID, parse("p1 v p2"))
         assert d.conclusion == parse("p1 v p2")
+
+
+_TAUTOLOGIES = [parse(t) for t in (
+    "p1 -> p1", "p1 -> p2 -> p1", "((p1 -> p2) -> p1) -> p1",
+    "p1 v p2 -> p2 v p1", "p1 -> p1 v p2",
+    "(p1 -> p3) -> (p2 -> p3) -> p1 v p2 -> p3",
+    "p1 & p2 -> p2 & p1", "p1 -> p2 -> p1 & p2",
+    "p1 & (p2 v p3) -> p1 & p2 v p1 & p3")]
+
+
+@st.composite
+def _checked_proofs(draw):
+    """A small closed prove() proof or an open build_line() line, in ID or P."""
+    calc = draw(st.sampled_from([CalculusId.ID, CalculusId.P]))
+    if draw(st.booleans()):
+        return prove(draw(st.sampled_from(
+            [t for t in _TAUTOLOGIES if calc.fragment.admits(t)])), calc)
+    f = draw(formulas(max_depth=2).filter(calc.fragment.admits))
+    values = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    v = {i + 1: value for i, value in enumerate(values)}
+    return build_line(v, f, calc).derivation
+
+
+@st.composite
+def _mutants(draw):
+    """A checked proof with one step or the hypothesis set changed: new MP
+    indices, another scheme tag, a random formula in any step or in the
+    last one (the only step whose formula is what the proof concludes), or
+    a dropped hypothesis."""
+    d = draw(_checked_proofs())
+    steps, hyps = list(d.steps), d.hypotheses
+    where = {"mp": [i for i, s in enumerate(steps) if isinstance(s, MPStep)],
+             "scheme": [i for i, s in enumerate(steps)
+                        if isinstance(s, AxiomStep)],
+             "formula": list(range(len(steps))),
+             "conclusion": [len(steps) - 1],
+             "hypothesis": [0] if hyps else []}
+    kind = draw(st.sampled_from([k for k, at in where.items() if at]))
+    i = draw(st.sampled_from(where[kind]))
+    step = steps[i]
+    if kind == "mp":
+        index = st.integers(0, len(steps) - 1)
+        major, minor = draw(index), draw(index)
+        assume((major, minor) != (step.major, step.minor))
+        steps[i] = MPStep(major, minor, step.formula)
+    elif kind == "scheme":
+        steps[i] = AxiomStep(draw(st.sampled_from(
+            [s for s in SchemeId if s is not step.scheme])), step.formula)
+    elif kind in ("formula", "conclusion"):
+        g = draw(formulas(max_depth=2))
+        assume(g is not step.formula)
+        if isinstance(step, AxiomStep):
+            steps[i] = AxiomStep(step.scheme, g)
+        elif isinstance(step, HypStep):
+            steps[i] = HypStep(g)
+        else:
+            steps[i] = MPStep(step.major, step.minor, g)
+    else:
+        hyps = hyps - {draw(st.sampled_from(sorted(hyps, key=str)))}
+    return Derivation(d.calculus, hyps, tuple(steps))
+
+
+class TestSoundnessUnderMutation:
+    """A single-step mutation of a checked proof is either rejected by the
+    checker or still concludes something its hypotheses entail."""
+
+    @given(_mutants())
+    @settings(max_examples=300, deadline=None)
+    def test_rejected_or_entailed(self, d):
+        assert check(d) or entails(list(d.hypotheses), d.conclusion)
 
 
 class TestPrune:
