@@ -17,9 +17,8 @@ from .kalmar import NotTautology, prove
 from .proofio import (ProofFormatError, from_json, read_text, to_json,
                       write_text)
 from .semantics import find_countermodel, format_assignment
-from .transform import (decompose, decompose_to_implicative, gamma,
-                        is_gamma_normal, prove_I, prove_IC, prove_P_reduction,
-                        tau, translate_derivation)
+from .transform import (decompose, decompose_to_implicative, gamma, prove_I,
+                        prove_IC, prove_P_reduction, tau, translate_derivation)
 from .tactics import TacticError
 
 _CALCULI = {c.label: c for c in CalculusId}

@@ -187,8 +187,11 @@ def lemma_4_1(v: dict, a: Formula, bf: Formula, da: Derivation,
     cva, cvb = _or_chain(b, v, da, a, c_chain), _or_chain(b, v, db, bf, c_chain)
     ax9 = b.axiom(SchemeId.AX9, A=Disj(c_chain, a), B=Disj(c_chain, bf))
     packed = b.mp(b.mp(ax9, cva), cvb)
-    distro = l2_25(c_chain, a, bf, da.calculus)     # thesis-form pair
-    undistributed = b.mp(b.include(distro.backward), packed)  # c_chain v (a&b)
+    # l2_25's backward half as a thesis: spliced by hyp_map, its lines merge
+    # with cva/cvb into a redundant case split when a is a true atom
+    back = l2_25(c_chain, a, bf, da.calculus).backward
+    thesis = b.include(_deduction_body(back, b.formula_at(packed)))
+    undistributed = b.mp(thesis, packed)                # c_chain v (a&b)
     return b.build(conclusion=_close(b, v, undistributed, conj),
                    hypotheses=da.hypotheses | db.hypotheses)
 

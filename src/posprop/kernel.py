@@ -22,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .formula import Atom, Conj, Disj, Formula, Fragment, Impl
+from .formula import Conj, Disj, Formula, Fragment, Impl
 
 
 class SchemeId(Enum):

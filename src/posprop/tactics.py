@@ -2,13 +2,15 @@
 equivalents, the lemma schemata library, and conjunction assembly.
 
 Nothing here is trusted, and nothing here checks what it builds: the
-combinators and lemma constructors return unchecked derivations, and the
-public entry points (`lemma` here, the provers in kalmar and transform)
-run the kernel checker once on their result.  `deduction` also checks the
-caller's derivation on the way in.  The deduction theorem is
-dependency-aware: steps that do not cite the discharged hypothesis are
-copied, and only the others are lifted through Ax1/Ax2, so a discharge
-costs a few steps per dependent step rather than a few per step.
+combinators and lemma constructors return unchecked derivations (the
+equivalence lemmas as derivability pairs, {A} ⊢ B and {B} ⊢ A, which
+`lemma` discharges into the paper's theses), and the public entry points
+(`lemma` here, the provers in kalmar and transform) run the kernel
+checker once on their result.  `deduction` also checks the caller's
+derivation on the way in.  The deduction theorem is dependency-aware:
+steps that do not cite the discharged hypothesis are copied, and only the
+others are lifted through Ax1/Ax2, so a discharge costs a few steps per
+dependent step rather than a few per step.
 
 The central tool is ProofBuilder, which accumulates steps, deduplicates
 lines by formula (a sound peephole: an identical earlier line under the
@@ -22,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .formula import (Atom, Conj, Disj, Formula, Impl, conj_chain, disj_chain,
+from .formula import (Conj, Disj, Formula, Impl, conj_chain, disj_chain,
                       subformula_at)
 from .kernel import (AxiomStep, CalculusId, CheckError, Derivation, HypStep,
-                     MPStep, SchemeId, StepError, instantiate_scheme, verify)
+                     MPStep, SchemeId, StepError, hypothesis, instantiate_scheme,
+                     verify)
 from .kernel import prune as _prune
 
 
@@ -209,6 +212,13 @@ def _inject(b: ProofBuilder, e: Formula, target: Formula) -> int:
     raise TacticError(f"{e} does not occur as a disjunct of {target}")
 
 
+def _cases(b: ProofBuilder, first: int, second: int, disj: int) -> int:
+    """From lines x -> t, y -> t and x v y, derive t (Ax6)."""
+    f1, f2 = b.formula_at(first), b.formula_at(second)
+    ax6 = b.axiom(SchemeId.AX6, A=f1.left, B=f2.left, C=f1.right)
+    return b.mp(b.mp(b.mp(ax6, first), second), disj)
+
+
 def _elim(b: ProofBuilder, tree: Formula, leaves: dict) -> int:
     """Line proving tree -> T, given leaves mapping each designated
     disjunct e to a line proving e -> T (Ax6 recursion)."""
@@ -234,10 +244,10 @@ DERIVABILITY = "derivability"
 class EquivalencePair:
     """Mutual derivability of two formulas.
 
-    derivability mode: forward is {left} ⊢ right, backward is {right} ⊢ left.
-    thesis mode: forward is ⊢ left -> right, backward is ⊢ right -> left.
-    The two modes interconvert by DT and MP; only thesis mode can be packed
-    into a single biconditional, and only where & is available.
+    derivability mode, as the pair builders return it: forward is {left} ⊢
+    right and backward {right} ⊢ left, each with that one hypothesis.  thesis
+    mode, as `lemma` states the paper's theses: forward is ⊢ left -> right,
+    backward ⊢ right -> left.  The modes interconvert by DT and MP.
     """
 
     forward: Derivation
@@ -261,14 +271,10 @@ class EquivalencePair:
         return self.forward.conclusion
 
 
-def reflexive_pair(a: Formula, calculus: CalculusId,
-                   mode: str = DERIVABILITY) -> EquivalencePair:
-    if mode == DERIVABILITY:
-        d = Derivation(calculus, frozenset([a]), (HypStep(a),))
-        return EquivalencePair(d, d, mode)
-    b = ProofBuilder(calculus)
-    d = b.build(conclusion=_identity(b, a), hypotheses=())
-    return EquivalencePair(d, d, THESIS)
+def reflexive_pair(a: Formula, calculus: CalculusId) -> EquivalencePair:
+    """a ⇄ a: both halves are the one-step derivation {a} ⊢ a."""
+    d = hypothesis(calculus, a)
+    return EquivalencePair(d, d, DERIVABILITY)
 
 
 def as_derivability(p: EquivalencePair) -> EquivalencePair:
@@ -484,8 +490,7 @@ def l2_12(a, bf, c, df, calculus=CalculusId.ID) -> Derivation:
     h_bd = b.hyp(Impl(bf, df))
     a_t = _compose(b, h_ac, b.axiom(SchemeId.AX4, A=c, B=df))
     b_t = _compose(b, h_bd, b.axiom(SchemeId.AX5, A=df, B=c))
-    ax6 = b.axiom(SchemeId.AX6, A=a, B=bf, C=target)
-    return b.build(conclusion=b.mp(b.mp(b.mp(ax6, a_t), b_t), h_or))
+    return b.build(conclusion=_cases(b, a_t, b_t, h_or))
 
 
 def l2_13(a, bf, c, calculus=CalculusId.ID) -> Derivation:
@@ -495,8 +500,7 @@ def l2_13(a, bf, c, calculus=CalculusId.ID) -> Derivation:
     excl = b.include(l2_11(a, c, calculus))           # a v (a -> c)
     a_x = _compose(b, h, b.axiom(SchemeId.AX4, A=bf, B=Impl(a, c)))
     ac_x = b.axiom(SchemeId.AX5, A=Impl(a, c), B=bf)
-    ax6 = b.axiom(SchemeId.AX6, A=a, B=Impl(a, c), C=x)
-    return b.build(conclusion=b.mp(b.mp(b.mp(ax6, a_x), ac_x), excl))
+    return b.build(conclusion=_cases(b, a_x, ac_x, excl))
 
 
 def l2_14(a, bf, c, calculus=CalculusId.ID) -> Derivation:
@@ -556,8 +560,7 @@ def l2_17(a, bf, c, calculus=CalculusId.ID) -> Derivation:
     h_bc = b.hyp(Impl(bf, c))
     ba = _compose(b, h_bc, h_ca)
     aa = _identity(b, a)
-    ax6 = b.axiom(SchemeId.AX6, A=a, B=bf, C=a)
-    d = b.build(conclusion=b.mp(b.mp(b.mp(ax6, aa), ba), h_or))
+    d = b.build(conclusion=_cases(b, aa, ba, h_or))
     return _deduction_body(d, Impl(bf, c))
 
 
@@ -566,8 +569,7 @@ def l2_18(a, bf, calculus=CalculusId.ID) -> Derivation:
     h_or = b.hyp(Disj(a, bf))
     h_ab = b.hyp(Impl(a, bf))
     bb = _identity(b, bf)
-    ax6 = b.axiom(SchemeId.AX6, A=a, B=bf, C=bf)
-    return b.build(conclusion=b.mp(b.mp(b.mp(ax6, h_ab), bb), h_or))
+    return b.build(conclusion=_cases(b, h_ab, bb, h_or))
 
 
 def l2_19(a, bf, calculus=CalculusId.ID) -> Derivation:
@@ -577,8 +579,7 @@ def l2_19(a, bf, calculus=CalculusId.ID) -> Derivation:
     excl = b.include(l2_11(a, bf, calculus))          # a v (a -> b)
     ax4 = b.axiom(SchemeId.AX4, A=a, B=bf)
     ab_x = _compose(b, h, b.axiom(SchemeId.AX5, A=bf, B=a))
-    ax6 = b.axiom(SchemeId.AX6, A=a, B=Impl(a, bf), C=x)
-    return b.build(conclusion=b.mp(b.mp(b.mp(ax6, ax4), ab_x), excl))
+    return b.build(conclusion=_cases(b, ax4, ab_x, excl))
 
 
 def l2_21(a, bf, c, calculus=CalculusId.IC) -> EquivalencePair:
@@ -594,7 +595,7 @@ def l2_21(a, bf, c, calculus=CalculusId.IC) -> EquivalencePair:
     ab = b.include(projected(SchemeId.AX7))
     ac = b.include(projected(SchemeId.AX8))
     ax9 = b.axiom(SchemeId.AX9, A=Impl(a, bf), B=Impl(a, c))
-    fwd = _deduction_body(b.build(conclusion=b.mp(b.mp(ax9, ab), ac)), h)
+    fwd = b.build(conclusion=b.mp(b.mp(ax9, ab), ac), hypotheses={h})
 
     r = Conj(Impl(a, bf), Impl(a, c))
     b2 = ProofBuilder(calculus)
@@ -603,9 +604,9 @@ def l2_21(a, bf, c, calculus=CalculusId.IC) -> EquivalencePair:
     left = b2.mp(b2.mp(b2.axiom(SchemeId.AX7, A=Impl(a, bf), B=Impl(a, c)), hr), ha)
     right = b2.mp(b2.mp(b2.axiom(SchemeId.AX8, A=Impl(a, bf), B=Impl(a, c)), hr), ha)
     ax9b = b2.axiom(SchemeId.AX9, A=bf, B=c)
-    inner = b2.build(conclusion=b2.mp(b2.mp(ax9b, left), right))
-    bwd = _discharge(_discharge(inner, a), r)
-    return EquivalencePair(fwd, bwd, THESIS)
+    inner = b2.build(conclusion=b2.mp(b2.mp(ax9b, left), right),
+                     hypotheses={r, a})
+    return EquivalencePair(fwd, _deduction_body(inner, a), DERIVABILITY)
 
 
 def l2_22(a, bf, c, calculus=CalculusId.IC) -> EquivalencePair:
@@ -617,22 +618,23 @@ def l2_22(a, bf, c, calculus=CalculusId.IC) -> EquivalencePair:
     ha, hb = b.hyp(a), b.hyp(bf)
     ax9 = b.axiom(SchemeId.AX9, A=a, B=bf)
     ab = b.mp(b.mp(ax9, ha), hb)
-    fwd = _discharge(_discharge(_discharge(
-        b.build(conclusion=b.mp(hp, ab)), bf), a), packed)
+    fwd = _discharge(_discharge(
+        b.build(conclusion=b.mp(hp, ab), hypotheses={packed, a, bf}), bf), a)
 
     b2 = ProofBuilder(calculus)
     hc = b2.hyp(curried)
     hab = b2.hyp(Conj(a, bf))
     left = b2.mp(b2.axiom(SchemeId.AX7, A=a, B=bf), hab)
     right = b2.mp(b2.axiom(SchemeId.AX8, A=a, B=bf), hab)
-    bwd = _discharge(_discharge(
-        b2.build(conclusion=b2.mp(b2.mp(hc, left), right)), Conj(a, bf)), curried)
-    return EquivalencePair(fwd, bwd, THESIS)
+    bwd = _deduction_body(
+        b2.build(conclusion=b2.mp(b2.mp(hc, left), right),
+                 hypotheses={curried, Conj(a, bf)}), Conj(a, bf))
+    return EquivalencePair(fwd, bwd, DERIVABILITY)
 
 
 def conj_reassociation(source: Formula, target: Formula,
                        calculus=CalculusId.IC) -> EquivalencePair:
-    """Thesis-form pair between two conjunction trees over the same leaves
+    """Derivability pair between two conjunction trees over the same leaves
     (Ax7/Ax8 tear-down, Ax9 rebuild)."""
 
     def one_way(src: Formula, dst: Formula) -> Derivation:
@@ -640,10 +642,10 @@ def conj_reassociation(source: Formula, target: Formula,
         table: dict = {}
         _extract_conjuncts(b, b.hyp(src), table)
         out = _rebuild_conjunction(b, dst, table)
-        return _deduction_body(b.build(conclusion=out), src)
+        return b.build(conclusion=out, hypotheses={src})
 
     return EquivalencePair(one_way(source, target), one_way(target, source),
-                           THESIS)
+                           DERIVABILITY)
 
 
 def l2_23(a_list, bf, calculus=CalculusId.IC) -> EquivalencePair:
@@ -653,108 +655,76 @@ def l2_23(a_list, bf, calculus=CalculusId.IC) -> EquivalencePair:
     left = Conj(conj_chain(a_list), bf)
     right = conj_chain(a_list + [bf])
     if left == right:
-        return reflexive_pair(left, calculus, THESIS)
+        return reflexive_pair(left, calculus)
     return conj_reassociation(left, right, calculus)
 
 
-def l2_25(c, a, bf, calculus=CalculusId.P) -> EquivalencePair:
+def _distribution(c, a, bf, calculus, c_first: bool) -> EquivalencePair:
+    """Lemmas 2.25 (c_first) and 2.26 as one derivability pair, c v a & b ⇄
+    (c v a) & (c v b) with c the left disjunct of every disjunction when
+    c_first and the right one otherwise.  Steps come in the order of the
+    two lemmas' own proofs: the left disjunct's case line first, and the
+    split on c v b (2.25) or a v c (2.26) before the other."""
+
+    def order(c_side, other):         # the two disjuncts, left one first
+        return (c_side, other) if c_first else (other, c_side)
+
+    # the schemes putting c, and the other disjunct x, into their places
+    c_in, x_in = order(SchemeId.AX4, SchemeId.AX5)
     ab = Conj(a, bf)
-    left = Disj(c, ab)
-    right = Conj(Disj(c, a), Disj(c, bf))
+    left = Disj(*order(c, ab))
+    side_a, side_b = Disj(*order(c, a)), Disj(*order(c, bf))
+    right = Conj(side_a, side_b)
 
     b = ProofBuilder(calculus)
     h = b.hyp(left)
 
-    def half(member, scheme):
-        into = Disj(c, member)
-        c_in = b.axiom(SchemeId.AX4, A=c, B=member)
-        ab_in = _compose(b, b.axiom(scheme, A=a, B=bf),
-                         b.axiom(SchemeId.AX5, A=member, B=c))
-        ax6 = b.axiom(SchemeId.AX6, A=c, B=ab, C=into)
-        return b.mp(b.mp(b.mp(ax6, c_in), ab_in), h)
+    def half(member, scheme):         # left ⊢ c v member
+        makers = order(lambda: b.axiom(c_in, A=c, B=member),
+                       lambda: _compose(b, b.axiom(scheme, A=a, B=bf),
+                                        b.axiom(x_in, A=member, B=c)))
+        first, second = (make() for make in makers)
+        return _cases(b, first, second, h)
 
-    ca = half(a, SchemeId.AX7)
-    cb = half(bf, SchemeId.AX8)
-    ax9 = b.axiom(SchemeId.AX9, A=Disj(c, a), B=Disj(c, bf))
-    fwd = _deduction_body(b.build(conclusion=b.mp(b.mp(ax9, ca), cb)), left)
+    s_a, s_b = half(a, SchemeId.AX7), half(bf, SchemeId.AX8)
+    ax9 = b.axiom(SchemeId.AX9, A=side_a, B=side_b)
+    fwd = b.build(conclusion=b.mp(b.mp(ax9, s_a), s_b), hypotheses={left})
 
     b2 = ProofBuilder(calculus)
     hr = b2.hyp(right)
-    s1 = b2.mp(b2.axiom(SchemeId.AX7, A=Disj(c, a), B=Disj(c, bf)), hr)  # c v a
-    s2 = b2.mp(b2.axiom(SchemeId.AX8, A=Disj(c, a), B=Disj(c, bf)), hr)  # c v b
+    s1 = b2.mp(b2.axiom(SchemeId.AX7, A=side_a, B=side_b), hr)
+    s2 = b2.mp(b2.axiom(SchemeId.AX8, A=side_a, B=side_b), hr)
+    inner, outer = order(bf, a)
+    s_inner, s_outer = order(s2, s1)
 
-    # b -> (a -> left)
-    inner = ProofBuilder(calculus)
-    ib, ia = inner.hyp(bf), inner.hyp(a)
-    conj = inner.mp(inner.mp(inner.axiom(SchemeId.AX9, A=a, B=bf), ia), ib)
-    lift = inner.mp(inner.axiom(SchemeId.AX5, A=ab, B=c), conj)
-    b_a_left = b2.include(_discharge(_discharge(
-        inner.build(conclusion=lift), a), bf))
+    # inner -> (outer -> left)
+    m = ProofBuilder(calculus)
+    hyps = {f: m.hyp(f) for f in (inner, outer)}
+    conj = m.mp(m.mp(m.axiom(SchemeId.AX9, A=a, B=bf), hyps[a]), hyps[bf])
+    lift = m.mp(m.axiom(x_in, A=ab, B=c), conj)
+    m_line = b2.include(_discharge(_discharge(
+        m.build(conclusion=lift), outer), inner))
 
-    # c -> (a -> left)
-    inner2 = ProofBuilder(calculus)
-    ic = inner2.hyp(c)
-    lx = inner2.mp(inner2.axiom(SchemeId.AX4, A=c, B=ab), ic)
-    weak = inner2.mp(inner2.axiom(SchemeId.AX1, A=left, B=a), lx)
-    c_a_left = b2.include(_deduction_body(inner2.build(conclusion=weak), c))
+    # c -> (outer -> left)
+    k = ProofBuilder(calculus)
+    ic = k.hyp(c)
+    lx = k.mp(k.axiom(c_in, A=c, B=ab), ic)
+    weak = k.mp(k.axiom(SchemeId.AX1, A=left, B=outer), lx)
+    c_line = b2.include(_deduction_body(k.build(conclusion=weak), c))
 
-    ax6 = b2.axiom(SchemeId.AX6, A=c, B=bf, C=Impl(a, left))
-    a_left = b2.mp(b2.mp(b2.mp(ax6, c_a_left), b_a_left), s2)
-    c_left = b2.axiom(SchemeId.AX4, A=c, B=ab)
-    ax6b = b2.axiom(SchemeId.AX6, A=c, B=a, C=left)
-    out = b2.mp(b2.mp(b2.mp(ax6b, c_left), a_left), s1)
-    bwd = _deduction_body(b2.build(conclusion=out), right)
-    return EquivalencePair(fwd, bwd, THESIS)
+    outer_left = _cases(b2, *order(c_line, m_line), s_inner)
+    c_left = b2.axiom(c_in, A=c, B=ab)
+    out = _cases(b2, *order(c_left, outer_left), s_outer)
+    bwd = b2.build(conclusion=out, hypotheses={right})
+    return EquivalencePair(fwd, bwd, DERIVABILITY)
+
+
+def l2_25(c, a, bf, calculus=CalculusId.P) -> EquivalencePair:
+    return _distribution(c, a, bf, calculus, c_first=True)
 
 
 def l2_26(a, bf, c, calculus=CalculusId.P) -> EquivalencePair:
-    ab = Conj(a, bf)
-    left = Disj(ab, c)
-    right = Conj(Disj(a, c), Disj(bf, c))
-
-    b = ProofBuilder(calculus)
-    h = b.hyp(left)
-
-    def half(member, scheme):
-        into = Disj(member, c)
-        ab_in = _compose(b, b.axiom(scheme, A=a, B=bf),
-                         b.axiom(SchemeId.AX4, A=member, B=c))
-        c_in = b.axiom(SchemeId.AX5, A=c, B=member)
-        ax6 = b.axiom(SchemeId.AX6, A=ab, B=c, C=into)
-        return b.mp(b.mp(b.mp(ax6, ab_in), c_in), h)
-
-    s_a = half(a, SchemeId.AX7)
-    s_b = half(bf, SchemeId.AX8)
-    ax9 = b.axiom(SchemeId.AX9, A=Disj(a, c), B=Disj(bf, c))
-    fwd = _deduction_body(b.build(conclusion=b.mp(b.mp(ax9, s_a), s_b)), left)
-
-    b2 = ProofBuilder(calculus)
-    hr = b2.hyp(right)
-    s1 = b2.mp(b2.axiom(SchemeId.AX7, A=Disj(a, c), B=Disj(bf, c)), hr)  # a v c
-    s2 = b2.mp(b2.axiom(SchemeId.AX8, A=Disj(a, c), B=Disj(bf, c)), hr)  # b v c
-
-    # a -> (b -> left)
-    inner = ProofBuilder(calculus)
-    ia, ib = inner.hyp(a), inner.hyp(bf)
-    conj = inner.mp(inner.mp(inner.axiom(SchemeId.AX9, A=a, B=bf), ia), ib)
-    lift = inner.mp(inner.axiom(SchemeId.AX4, A=ab, B=c), conj)
-    a_b_left = b2.include(_discharge(_discharge(
-        inner.build(conclusion=lift), bf), a))
-
-    # c -> (b -> left)
-    inner2 = ProofBuilder(calculus)
-    ic = inner2.hyp(c)
-    lx = inner2.mp(inner2.axiom(SchemeId.AX5, A=c, B=ab), ic)
-    weak = inner2.mp(inner2.axiom(SchemeId.AX1, A=left, B=bf), lx)
-    c_b_left = b2.include(_deduction_body(inner2.build(conclusion=weak), c))
-
-    ax6 = b2.axiom(SchemeId.AX6, A=a, B=c, C=Impl(bf, left))
-    b_left = b2.mp(b2.mp(b2.mp(ax6, a_b_left), c_b_left), s1)
-    c_left = b2.axiom(SchemeId.AX5, A=c, B=ab)
-    ax6b = b2.axiom(SchemeId.AX6, A=bf, B=c, C=left)
-    out = b2.mp(b2.mp(b2.mp(ax6b, b_left), c_left), s2)
-    bwd = _deduction_body(b2.build(conclusion=out), right)
-    return EquivalencePair(fwd, bwd, THESIS)
+    return _distribution(c, a, bf, calculus, c_first=False)
 
 
 def l5_1(bf, c, df, calculus=CalculusId.I) -> Derivation:
@@ -774,9 +744,8 @@ def l5_1(bf, c, df, calculus=CalculusId.I) -> Derivation:
 
 def _congruence(context: Formula, direction: str,
                 pair: EquivalencePair) -> EquivalencePair:
-    """Lift a ⇄ b one level: replace the child of `context` on `direction`
-    (which must be pair.left) and produce the pair between the contexts."""
-    pair = as_derivability(pair)
+    """Lift a derivability pair a ⇄ b one level: replace the child of
+    `context` on `direction` (a) and produce the pair between the contexts."""
     a, bf = pair.left, pair.right
     calculus = pair.calculus
     other = context.right if direction == "left" else context.left
@@ -803,19 +772,15 @@ def _congruence(context: Formula, direction: str,
             return _deduction_body(
                 b.build(conclusion=out, hypotheses={src, new_sub}), new_sub)
         if ctor is Disj:
+            # Ax4 puts its A on the left of a disjunction, Ax5 on the right
+            on_right = direction == "right"
+            new_in, other_in = ((SchemeId.AX5, SchemeId.AX4) if on_right
+                                else (SchemeId.AX4, SchemeId.AX5))
             child_imp = b.include(_deduction_body(inner_fwd, old_child))
-            if direction == "right":
-                into = _compose(b, child_imp,
-                                b.axiom(SchemeId.AX5, A=new_sub, B=other))
-                keep = b.axiom(SchemeId.AX4, A=other, B=new_sub)
-                ax6 = b.axiom(SchemeId.AX6, A=other, B=old_child, C=dst)
-                return b.build(conclusion=b.mp(b.mp(b.mp(ax6, keep), into), h),
-                               hypotheses={src})
-            into = _compose(b, child_imp,
-                            b.axiom(SchemeId.AX4, A=new_sub, B=other))
-            keep = b.axiom(SchemeId.AX5, A=other, B=new_sub)
-            ax6 = b.axiom(SchemeId.AX6, A=old_child, B=other, C=dst)
-            return b.build(conclusion=b.mp(b.mp(b.mp(ax6, into), keep), h),
+            into = _compose(b, child_imp, b.axiom(new_in, A=new_sub, B=other))
+            keep = b.axiom(other_in, A=other, B=new_sub)
+            first, second = (keep, into) if on_right else (into, keep)
+            return b.build(conclusion=_cases(b, first, second, h),
                            hypotheses={src})
         if ctor is Conj:
             first = b.mp(b.axiom(SchemeId.AX7, A=src.left, B=src.right), h)
@@ -908,6 +873,10 @@ _VARIADIC = {
     LemmaId.L2_23: (l2_23, CalculusId.IC),
 }
 
+# the pairs the paper states as theses ⊢ A -> B and ⊢ B -> A
+_THESES = {LemmaId.L2_21, LemmaId.L2_22, LemmaId.L2_23, LemmaId.L2_25,
+           LemmaId.L2_26}
+
 
 def lemma(lemma_id: LemmaId, args, target: CalculusId):
     """Instantiate a lemma schema in the target calculus.
@@ -917,7 +886,8 @@ def lemma(lemma_id: LemmaId, args, target: CalculusId):
     final one.  L2_20 and L2_24 are not schematic derivations; use
     pair_to_biconditional / biconditional_to_pair and conjoin /
     split_conjunction respectively.  The result is kernel-checked: a
-    derivation, or both halves of an EquivalencePair.
+    derivation, or both halves of an EquivalencePair: 2.15 a derivability
+    pair, the others the theses the paper states.
     """
     if lemma_id in (LemmaId.L2_20, LemmaId.L2_24):
         raise TacticError(
@@ -946,6 +916,8 @@ def lemma(lemma_id: LemmaId, args, target: CalculusId):
                 f"{lemma_id.value} takes {arity} formulas, got {len(args)}")
         _check_fragment(args, target)
         result = ctor(*args, target)
+    if lemma_id in _THESES:
+        result = as_thesis(result)
     if isinstance(result, EquivalencePair):
         verify(result.forward)
         verify(result.backward)

@@ -30,10 +30,10 @@ from .semantics import find_countermodel
 # `deduction` is not called here; it stays bound as transform.deduction for
 # the per-module tracer in perfbench/spans.py
 from .tactics import (DERIVABILITY, EquivalencePair, ProofBuilder,
-                      TacticError, as_derivability, compose_pairs, conjoin,
-                      _discharge, conj_reassociation, deduction, l2_7, l2_8,
-                      l2_18, l2_19, l2_21, l2_22, l2_25, l2_26, l5_1,
-                      reflexive_pair, substitute_equivalents)
+                      TacticError, compose_pairs, conjoin, _discharge,
+                      conj_reassociation, deduction, l2_7, l2_8, l2_18, l2_19,
+                      l2_21, l2_22, l2_25, l2_26, l5_1, reflexive_pair,
+                      substitute_equivalents)
 
 # ---------------------------------------------------------------------------
 # gamma: pushing & to the top
@@ -160,7 +160,7 @@ def decompose(a: Formula, calculus: CalculusId = CalculusId.P) -> Decomposition:
     if target != normal:
         pair = compose_pairs(
             pair, conj_reassociation(normal, target, calculus))
-    return Decomposition(tuple(conjuncts), as_derivability(pair))
+    return Decomposition(tuple(conjuncts), pair)
 
 
 # ---------------------------------------------------------------------------

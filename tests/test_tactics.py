@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from posprop.formula import Atom, Conj, Disj, Impl, parse
+from posprop.formula import Atom, Conj, Disj, Impl, conj_chain, parse
 from posprop.kernel import (CalculusId, CheckError, Derivation, HypStep,
                             MPStep, SchemeId, check, hypothesis, prune,
                             verify)
@@ -11,7 +11,8 @@ from posprop.kalmar import build_line, prove
 from posprop.tactics import (DERIVABILITY, THESIS, EquivalencePair, LemmaId,
                              ProofBuilder, TacticError, as_derivability,
                              as_thesis, biconditional_to_pair, compose_pairs,
-                             conjoin, deduction, lemma, pair_to_biconditional,
+                             conj_reassociation, conjoin, deduction, l2_21,
+                             l2_22, l2_25, l2_26, lemma, pair_to_biconditional,
                              reflexive_pair, split_conjunction,
                              substitute_equivalents, _deduction_body)
 
@@ -258,6 +259,42 @@ class TestEquivalencePairs:
                                          Impl(p.right, p.left))
         back = biconditional_to_pair(packed)
         assert back.left == p.left and back.right == p.right
+
+
+PAIR_BUILDERS = {LemmaId.L2_21: l2_21, LemmaId.L2_22: l2_22,
+                 LemmaId.L2_25: l2_25, LemmaId.L2_26: l2_26}
+
+
+def build_pair(lid, args, calc):
+    """The pair builder behind lemma(lid, args, calc), called directly."""
+    if lid is LemmaId.L2_23:      # 2.23 is conj_reassociation on its statement
+        *lead, last = args
+        return conj_reassociation(Conj(conj_chain(lead), last),
+                                  conj_chain(args), calc)
+    return PAIR_BUILDERS[lid](*args, calc)
+
+
+class TestPairBuilders:
+    """The builders behind lemma() return derivability pairs; lemma()
+    turns them into the theses the paper states."""
+
+    @pytest.mark.parametrize("degenerate", [False, True],
+                             ids=["golden", "all-p1"])
+    @pytest.mark.parametrize("lid,args,calc", [
+        row[:3] for row in GOLDEN_PAIRS if row[0] is not LemmaId.L2_15],
+        ids=lambda v: v.value if isinstance(v, LemmaId) else None)
+    def test_builders_return_derivability_pairs(self, lid, args, calc,
+                                                degenerate):
+        if degenerate:
+            args = [P1] * len(args)
+        stated = lemma(lid, args, calc).forward.conclusion   # left -> right
+        p = build_pair(lid, args, calc)
+        assert p.mode == DERIVABILITY
+        assert p.forward.hypotheses == frozenset([stated.left])
+        assert p.backward.hypotheses == frozenset([stated.right])
+        assert p.forward.conclusion == stated.right
+        assert p.backward.conclusion == stated.left
+        assert check(p.forward) == [] and check(p.backward) == []
 
 
 class TestSubstitution:

@@ -209,6 +209,13 @@ class TestRoutes:
         assert d.conclusion == f and not d.hypotheses
         assert check(d) == []
 
+    def test_gamma_routes_splice_derivability_halves(self):
+        # the rule pairs reach compose_pairs in derivability mode, so no
+        # thesis half is turned back into a derivability one on the way
+        f = parse("p1 & p2 -> p2 & p1")
+        assert len(prove_P_reduction(f)) <= 11
+        assert len(prove_IC(f)) <= 11
+
     def test_route_agreement_small(self):
         rng = random.Random(5)
         pool = [f for f in enumerate_formulas(3, [1, 2], Fragment.POSITIVE)
