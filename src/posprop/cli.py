@@ -21,8 +21,6 @@ from .transform import (decompose, decompose_to_implicative, gamma, prove_I,
                         prove_IC, prove_P_reduction, tau, translate_derivation)
 from .tactics import TacticError
 
-_CALCULI = {c.label: c for c in CalculusId}
-
 
 def _parse_formula(text: str):
     try:
@@ -76,7 +74,7 @@ def _synthesize(f, calculus: CalculusId, route: str):
 
 def _cmd_prove(args) -> int:
     f = _parse_formula(args.formula)
-    calculus = _CALCULI[args.calculus]
+    calculus = CalculusId[args.calculus]
     try:
         d = _synthesize(f, calculus, args.route)
     except NotTautology as exc:
@@ -163,7 +161,7 @@ def _cmd_enumerate(args) -> int:
     from .formula import enumerate_formulas
     from .semantics import is_tautology
 
-    calculus = _CALCULI[args.calculus]
+    calculus = CalculusId[args.calculus]
     atoms = list(range(1, args.atoms + 1))
     lengths = []
     total = taut = 0
@@ -212,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("prove", help="synthesize a checked derivation")
     sp.add_argument("formula")
-    sp.add_argument("--calculus", "-c", choices=sorted(_CALCULI), default="P")
+    sp.add_argument("--calculus", "-c", choices=sorted(CalculusId.__members__),
+                    default="P")
     sp.add_argument("--route", choices=["direct", "reduction"], default="direct")
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.add_argument("--out", "-o")
@@ -244,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="sweep and prove small tautologies")
     sp.add_argument("--max-connectives", type=_count, default=3)
     sp.add_argument("--atoms", type=_count, default=2)
-    sp.add_argument("--calculus", "-c", choices=sorted(_CALCULI), default="ID")
+    sp.add_argument("--calculus", "-c", choices=sorted(CalculusId.__members__),
+                    default="ID")
     sp.set_defaults(func=_cmd_enumerate)
 
     sp = sub.add_parser("stats", help="summarize a proof file")

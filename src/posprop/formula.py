@@ -4,6 +4,11 @@ Formulas are immutable trees over atoms ``p1, p2, ...`` and the three
 binary connectives ``->`` (implication), ``v`` (disjunction) and ``&``
 (conjunction).  Structural equality is the only identity; there is no
 binding, so two formulas are "the same" iff their trees are equal.
+
+The node classes Impl, Disj and Conj are the one statement of the
+connective vocabulary: each carries its ``symbol``, its printing
+``precedence`` (also its code in the order R) and its ``bit`` in the
+connective mask.  A Fragment is such a mask.
 """
 
 from __future__ import annotations
@@ -44,10 +49,6 @@ _ATOM_INTERN: dict = {}
 _BINARY_INTERN: dict = {}
 
 
-# connective-presence bitmask: bit 0 = v occurs, bit 1 = & occurs
-_DISJ_BIT, _CONJ_BIT = 1, 2
-
-
 class Atom(Formula):
     __slots__ = ("index", "size", "mask")
 
@@ -68,8 +69,9 @@ class Atom(Formula):
 
 
 class _Binary(Formula):
+    """A connective node; `mask` ORs the `bit` of every connective in it."""
+
     __slots__ = ("left", "right", "size", "mask")
-    _own_bit = 0
 
     def __new__(cls, left: Formula, right: Formula):
         key = (cls, left, right)
@@ -82,7 +84,7 @@ class _Binary(Formula):
             object.__setattr__(cached, "right", right)
             object.__setattr__(cached, "size", left.size + right.size + 1)
             object.__setattr__(cached, "mask",
-                               left.mask | right.mask | cls._own_bit)
+                               left.mask | right.mask | cls.bit)
             _BINARY_INTERN[key] = cached
         return cached
 
@@ -92,66 +94,41 @@ class _Binary(Formula):
 
 class Impl(_Binary):
     __slots__ = ()
-
-    @property
-    def antecedent(self) -> Formula:
-        return self.left
-
-    @property
-    def consequent(self) -> Formula:
-        return self.right
+    symbol, precedence, bit = "->", 1, 0
 
 
 class Disj(_Binary):
     __slots__ = ()
-    _own_bit = _DISJ_BIT
+    symbol, precedence, bit = "v", 2, 1
 
 
 class Conj(_Binary):
     __slots__ = ()
-    _own_bit = _CONJ_BIT
+    symbol, precedence, bit = "&", 3, 2
 
 
 class Fragment(Enum):
-    """Sublanguages of the positive language, by the connectives they allow."""
+    """Sublanguages of the positive language; each member's value is the
+    mask of the connective bits it allows (-> is always allowed)."""
 
-    IMPLICATIVE = ("->",)
-    IMPLICATIVE_DISJUNCTIVE = ("->", "v")
-    IMPLICATIVE_CONJUNCTIVE = ("->", "&")
-    POSITIVE = ("->", "v", "&")
+    IMPLICATIVE = Impl.bit
+    IMPLICATIVE_DISJUNCTIVE = Disj.bit
+    IMPLICATIVE_CONJUNCTIVE = Conj.bit
+    POSITIVE = Disj.bit | Conj.bit
 
-    @property
-    def connectives(self) -> frozenset:
-        return frozenset(self.value)
-
-    @property
-    def mask(self) -> int:
-        return _FRAGMENT_MASK[self]
+    def __init__(self, mask: int):
+        self.mask = mask
 
     def includes(self, other: "Fragment") -> bool:
-        return other.connectives <= self.connectives
+        return other.mask & ~self.mask == 0
 
     def admits(self, f: Formula) -> bool:
-        return f.mask & ~_FRAGMENT_MASK[self] == 0
-
-
-_FRAGMENT_MASK = {
-    frag: (_DISJ_BIT if "v" in frag.value else 0)
-          | (_CONJ_BIT if "&" in frag.value else 0)
-    for frag in Fragment
-}
-
-_FRAGMENT_BY_MASK = {
-    0: Fragment.IMPLICATIVE,
-    _DISJ_BIT: Fragment.IMPLICATIVE_DISJUNCTIVE,
-    _CONJ_BIT: Fragment.IMPLICATIVE_CONJUNCTIVE,
-    _DISJ_BIT | _CONJ_BIT: Fragment.POSITIVE,
-}
+        return f.mask & ~self.mask == 0
 
 
 def fragment_of(f: Formula) -> Fragment:
     """Least fragment containing f."""
-    return _FRAGMENT_BY_MASK[f.mask]
+    return Fragment(f.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -244,26 +221,21 @@ def parse(text: str) -> Formula:
     return result
 
 
-_PRECEDENCE = {Impl: 1, Disj: 2, Conj: 3}
-
-
 def pretty(f: Formula) -> str:
     """Render with minimal parentheses under the right-association convention."""
     if isinstance(f, Atom):
         return f"p{f.index}"
-    op = {Impl: "->", Disj: "v", Conj: "&"}[type(f)]
-    prec = _PRECEDENCE[type(f)]
+    prec = f.precedence
 
     def side(g: Formula, is_left: bool) -> str:
         s = pretty(g)
         if isinstance(g, Atom):
             return s
-        gp = _PRECEDENCE[type(g)]
-        if gp < prec or (is_left and gp == prec):
+        if g.precedence < prec or (is_left and g.precedence == prec):
             return f"({s})"
         return s
 
-    return f"{side(f.left, True)} {op} {side(f.right, False)}"
+    return f"{side(f.left, True)} {f.symbol} {side(f.right, False)}"
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +246,7 @@ def _serialize(f: Formula, out: list) -> None:
         out.append(0)
         out.append(f.index)
     else:
-        out.append({Impl: 1, Disj: 2, Conj: 3}[type(f)])
+        out.append(f.precedence)  # a connective's code in R
         _serialize(f.left, out)
         _serialize(f.right, out)
 
@@ -413,11 +385,7 @@ def enumerate_formulas(max_connectives: int, atom_indices, fragment: Fragment) -
     if max_connectives < 0:
         return
     atoms = [Atom(i) for i in sorted(atom_indices)]
-    ctors = [Impl]
-    if "v" in fragment.connectives:
-        ctors.append(Disj)
-    if "&" in fragment.connectives:
-        ctors.append(Conj)
+    ctors = [c for c in (Impl, Disj, Conj) if c.bit & ~fragment.mask == 0]
 
     by_count: list[list[Formula]] = [list(atoms)]
     yield from by_count[0]

@@ -41,24 +41,22 @@ class SchemeId(Enum):
 
 
 # Scheme patterns as nested tuples: ("mv", name) is a metavariable,
-# ("->" | "v" | "&", lhs, rhs) a connective node.
+# (node class, lhs, rhs) a connective node.
 _A, _B, _C = ("mv", "A"), ("mv", "B"), ("mv", "C")
 
 SCHEME_PATTERNS = {
-    SchemeId.AX1: ("->", _A, ("->", _B, _A)),
-    SchemeId.AX2: ("->", ("->", _A, ("->", _B, _C)),
-                   ("->", ("->", _A, _B), ("->", _A, _C))),
-    SchemeId.AX3: ("->", ("->", ("->", _A, _B), _A), _A),  # Peirce's law
-    SchemeId.AX4: ("->", _A, ("v", _A, _B)),
-    SchemeId.AX5: ("->", _A, ("v", _B, _A)),
-    SchemeId.AX6: ("->", ("->", _A, _C),
-                   ("->", ("->", _B, _C), ("->", ("v", _A, _B), _C))),
-    SchemeId.AX7: ("->", ("&", _A, _B), _A),
-    SchemeId.AX8: ("->", ("&", _A, _B), _B),
-    SchemeId.AX9: ("->", _A, ("->", _B, ("&", _A, _B))),
+    SchemeId.AX1: (Impl, _A, (Impl, _B, _A)),
+    SchemeId.AX2: (Impl, (Impl, _A, (Impl, _B, _C)),
+                   (Impl, (Impl, _A, _B), (Impl, _A, _C))),
+    SchemeId.AX3: (Impl, (Impl, (Impl, _A, _B), _A), _A),  # Peirce's law
+    SchemeId.AX4: (Impl, _A, (Disj, _A, _B)),
+    SchemeId.AX5: (Impl, _A, (Disj, _B, _A)),
+    SchemeId.AX6: (Impl, (Impl, _A, _C),
+                   (Impl, (Impl, _B, _C), (Impl, (Disj, _A, _B), _C))),
+    SchemeId.AX7: (Impl, (Conj, _A, _B), _A),
+    SchemeId.AX8: (Impl, (Conj, _A, _B), _B),
+    SchemeId.AX9: (Impl, _A, (Impl, _B, (Conj, _A, _B))),
 }
-
-_CTOR = {"->": Impl, "v": Disj, "&": Conj}
 
 
 def match_scheme(scheme: SchemeId, f: Formula) -> Optional[dict]:
@@ -72,9 +70,8 @@ def match_scheme(scheme: SchemeId, f: Formula) -> Optional[dict]:
                 return subst[name] == g
             subst[name] = g
             return True
-        ctor = _CTOR[pattern[0]]
         return (
-            isinstance(g, ctor)
+            isinstance(g, pattern[0])
             and walk(pattern[1], g.left)
             and walk(pattern[2], g.right)
         )
@@ -97,7 +94,7 @@ def _instantiate(scheme: SchemeId, items: tuple) -> Formula:
                 return subst[pattern[1]]
             except KeyError:
                 raise KeyError(f"substitution missing metavariable {pattern[1]}") from None
-        return _CTOR[pattern[0]](walk(pattern[1]), walk(pattern[2]))
+        return pattern[0](walk(pattern[1]), walk(pattern[2]))
 
     return walk(SCHEME_PATTERNS[scheme])
 
@@ -108,16 +105,15 @@ def instantiate_scheme(scheme: SchemeId, subst: dict) -> Formula:
 
 
 class CalculusId(Enum):
-    I = ("I", ("AX1", "AX2", "AX3"), Fragment.IMPLICATIVE)
-    ID = ("ID", ("AX1", "AX2", "AX3", "AX4", "AX5", "AX6"),
+    I = (("AX1", "AX2", "AX3"), Fragment.IMPLICATIVE)
+    ID = (("AX1", "AX2", "AX3", "AX4", "AX5", "AX6"),
           Fragment.IMPLICATIVE_DISJUNCTIVE)
-    IC = ("IC", ("AX1", "AX2", "AX3", "AX7", "AX8", "AX9"),
+    IC = (("AX1", "AX2", "AX3", "AX7", "AX8", "AX9"),
           Fragment.IMPLICATIVE_CONJUNCTIVE)
-    P = ("P", ("AX1", "AX2", "AX3", "AX4", "AX5", "AX6", "AX7", "AX8", "AX9"),
+    P = (("AX1", "AX2", "AX3", "AX4", "AX5", "AX6", "AX7", "AX8", "AX9"),
          Fragment.POSITIVE)
 
-    def __init__(self, label, schemes, fragment):
-        self.label = label
+    def __init__(self, schemes, fragment):
         self.schemes = frozenset(SchemeId[s] for s in schemes)
         self.fragment = fragment
 
@@ -125,7 +121,7 @@ class CalculusId(Enum):
         return other.schemes <= self.schemes and self.fragment.includes(other.fragment)
 
     def __str__(self):
-        return self.label
+        return self.name
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ class ProofFormatError(ValueError):
     pass
 
 
-_CALCULI = {c.label: c for c in CalculusId}
 _SCHEMES = {s.value: s for s in SchemeId}
 
 _STEP_RE = re.compile(
@@ -54,7 +53,7 @@ def read_text(text: str) -> Derivation:
         raise ProofFormatError("missing 'calculus:' header")
     name = lines[0][len("calculus: "):].strip()
     try:
-        calculus = _CALCULI[name]
+        calculus = CalculusId[name]
     except KeyError:
         raise ProofFormatError(f"unknown calculus {name!r}") from None
 
@@ -116,7 +115,7 @@ def from_json(text: str) -> Derivation:
     except json.JSONDecodeError as exc:
         raise ProofFormatError(f"not a JSON document: {exc}") from exc
     try:
-        calculus = _CALCULI[doc["calculus"]]
+        calculus = CalculusId[doc["calculus"]]
         if type(doc["hypotheses"]) is not list or type(doc["steps"]) is not list:
             raise ProofFormatError("hypotheses and steps must be lists")
         hyps = frozenset(parse(h) for h in doc["hypotheses"])

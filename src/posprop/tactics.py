@@ -247,12 +247,17 @@ class EquivalencePair:
     derivability mode, as the pair builders return it: forward is {left} ⊢
     right and backward {right} ⊢ left, each with that one hypothesis.  thesis
     mode, as `lemma` states the paper's theses: forward is ⊢ left -> right,
-    backward ⊢ right -> left.  The modes interconvert by DT and MP.
+    backward ⊢ right -> left.  The mode is read off the halves, not stored:
+    a pair is in thesis mode exactly when its forward half is closed.  The
+    modes interconvert by DT and MP.
     """
 
     forward: Derivation
     backward: Derivation
-    mode: str = DERIVABILITY
+
+    @property
+    def mode(self) -> str:
+        return DERIVABILITY if self.forward.hypotheses else THESIS
 
     @property
     def calculus(self) -> CalculusId:
@@ -274,7 +279,7 @@ class EquivalencePair:
 def reflexive_pair(a: Formula, calculus: CalculusId) -> EquivalencePair:
     """a ⇄ a: both halves are the one-step derivation {a} ⊢ a."""
     d = hypothesis(calculus, a)
-    return EquivalencePair(d, d, DERIVABILITY)
+    return EquivalencePair(d, d)
 
 
 def as_derivability(p: EquivalencePair) -> EquivalencePair:
@@ -287,14 +292,14 @@ def as_derivability(p: EquivalencePair) -> EquivalencePair:
         imp = b.include(thesis)
         return b.build(conclusion=b.mp(imp, h))
 
-    return EquivalencePair(one_way(p.forward), one_way(p.backward), DERIVABILITY)
+    return EquivalencePair(one_way(p.forward), one_way(p.backward))
 
 
 def as_thesis(p: EquivalencePair) -> EquivalencePair:
     if p.mode == THESIS:
         return p
     return EquivalencePair(_deduction_body(p.forward, p.left),
-                           _deduction_body(p.backward, p.right), THESIS)
+                           _deduction_body(p.backward, p.right))
 
 
 def compose_pairs(p: EquivalencePair, q: EquivalencePair) -> EquivalencePair:
@@ -311,8 +316,7 @@ def compose_pairs(p: EquivalencePair, q: EquivalencePair) -> EquivalencePair:
         return b.build(conclusion=out, hypotheses={start})
 
     return EquivalencePair(chain(p.forward, q.forward, p.left),
-                           chain(q.backward, p.backward, q.right),
-                           DERIVABILITY)
+                           chain(q.backward, p.backward, q.right))
 
 
 def pair_to_biconditional(p: EquivalencePair) -> Derivation:
@@ -340,7 +344,7 @@ def biconditional_to_pair(d: Derivation) -> EquivalencePair:
         ax = b.axiom(scheme, A=conc.left, B=conc.right)
         return b.build(conclusion=b.mp(ax, whole), hypotheses=())
 
-    return EquivalencePair(project(SchemeId.AX7), project(SchemeId.AX8), THESIS)
+    return EquivalencePair(project(SchemeId.AX7), project(SchemeId.AX8))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +397,8 @@ def split_conjunction(d: Derivation, n: int) -> list:
     (unchecked)."""
     if d.hypotheses:
         raise TacticError("split requires a closed derivation")
+    if n < 1:
+        raise TacticError(f"cannot split into {n} conjuncts")
     parts = []
     f = d.conclusion
     for _ in range(n - 1):
@@ -537,11 +543,13 @@ def l2_15(a_list, bf, calculus=CalculusId.ID) -> EquivalencePair:
     leaves2[bf] = bwd.axiom(SchemeId.AX5, A=bf, B=head)
     out2 = bwd.mp(_elim(bwd, right, leaves2), bwd.hyp(right))
     backward = bwd.build(conclusion=out2, hypotheses={right})
-    return EquivalencePair(forward, backward, DERIVABILITY)
+    return EquivalencePair(forward, backward)
 
 
 def l2_16(sources, targets, calculus=CalculusId.ID) -> Derivation:
     sources, targets = list(sources), list(targets)
+    if not sources:
+        raise TacticError("2.16 needs at least one source disjunct")
     missing = [e for e in sources if e not in targets]
     if missing:
         raise TacticError(f"disjunct {missing[0]} missing from the target list")
@@ -606,7 +614,7 @@ def l2_21(a, bf, c, calculus=CalculusId.IC) -> EquivalencePair:
     ax9b = b2.axiom(SchemeId.AX9, A=bf, B=c)
     inner = b2.build(conclusion=b2.mp(b2.mp(ax9b, left), right),
                      hypotheses={r, a})
-    return EquivalencePair(fwd, _deduction_body(inner, a), DERIVABILITY)
+    return EquivalencePair(fwd, _deduction_body(inner, a))
 
 
 def l2_22(a, bf, c, calculus=CalculusId.IC) -> EquivalencePair:
@@ -629,7 +637,7 @@ def l2_22(a, bf, c, calculus=CalculusId.IC) -> EquivalencePair:
     bwd = _deduction_body(
         b2.build(conclusion=b2.mp(b2.mp(hc, left), right),
                  hypotheses={curried, Conj(a, bf)}), Conj(a, bf))
-    return EquivalencePair(fwd, bwd, DERIVABILITY)
+    return EquivalencePair(fwd, bwd)
 
 
 def conj_reassociation(source: Formula, target: Formula,
@@ -644,8 +652,7 @@ def conj_reassociation(source: Formula, target: Formula,
         out = _rebuild_conjunction(b, dst, table)
         return b.build(conclusion=out, hypotheses={src})
 
-    return EquivalencePair(one_way(source, target), one_way(target, source),
-                           DERIVABILITY)
+    return EquivalencePair(one_way(source, target), one_way(target, source))
 
 
 def l2_23(a_list, bf, calculus=CalculusId.IC) -> EquivalencePair:
@@ -716,7 +723,7 @@ def _distribution(c, a, bf, calculus, c_first: bool) -> EquivalencePair:
     c_left = b2.axiom(c_in, A=c, B=ab)
     out = _cases(b2, *order(c_left, outer_left), s_outer)
     bwd = b2.build(conclusion=out, hypotheses={right})
-    return EquivalencePair(fwd, bwd, DERIVABILITY)
+    return EquivalencePair(fwd, bwd)
 
 
 def l2_25(c, a, bf, calculus=CalculusId.P) -> EquivalencePair:
@@ -797,7 +804,7 @@ def _congruence(context: Formula, direction: str,
 
     fwd = one_way(context, new_context, pair.forward, pair.backward)
     bwd = one_way(new_context, context, pair.backward, pair.forward)
-    return EquivalencePair(fwd, bwd, DERIVABILITY)
+    return EquivalencePair(fwd, bwd)
 
 
 def substitute_equivalents(c: Formula, path,

@@ -29,8 +29,8 @@ from .kalmar import NotTautology, prove, synthesize
 from .semantics import find_countermodel
 # `deduction` is not called here; it stays bound as transform.deduction for
 # the per-module tracer in perfbench/spans.py
-from .tactics import (DERIVABILITY, EquivalencePair, ProofBuilder,
-                      TacticError, compose_pairs, conjoin, _discharge,
+from .tactics import (EquivalencePair, ProofBuilder, TacticError,
+                      compose_pairs, conjoin, _discharge,
                       conj_reassociation, deduction, l2_7, l2_8, l2_18, l2_19,
                       l2_21, l2_22, l2_25, l2_26, l5_1, reflexive_pair,
                       substitute_equivalents)
@@ -42,32 +42,34 @@ from .tactics import (DERIVABILITY, EquivalencePair, ProofBuilder,
 # rule ii:  (C & D) -> E   ~>  C -> (D -> E)
 # rule iii: C v (D & E)    ~>  (C v D) & (C v E)
 # rule iv:  (C & D) v E    ~>  (C v E) & (D v E)
+#
+# Keyed by (connective, side holding the &); a row is the rule's name, the
+# rewrite of the leaves C, D, E, and the lemma proving the two equivalent,
+# which takes the same leaves in order.  The lemmas are called through
+# this module's globals, where perfbench/spans.py wraps them.
+_RULES = {
+    (Impl, "right"): ("i", lambda c, d, e: Conj(Impl(c, d), Impl(c, e)),
+                      lambda c, d, e, calc: l2_21(c, d, e, calc)),
+    (Impl, "left"): ("ii", lambda c, d, e: Impl(c, Impl(d, e)),
+                     lambda c, d, e, calc: l2_22(c, d, e, calc)),
+    (Disj, "right"): ("iii", lambda c, d, e: Conj(Disj(c, d), Disj(c, e)),
+                      lambda c, d, e, calc: l2_25(c, d, e, calc)),
+    (Disj, "left"): ("iv", lambda c, d, e: Conj(Disj(c, e), Disj(d, e)),
+                     lambda c, d, e, calc: l2_26(c, d, e, calc)),
+}
 
 
 def _match_rule(f: Formula):
-    if isinstance(f, Impl):
-        if isinstance(f.right, Conj):
-            return "i"
-        if isinstance(f.left, Conj):
-            return "ii"
-    elif isinstance(f, Disj):
-        if isinstance(f.right, Conj):
-            return "iii"
-        if isinstance(f.left, Conj):
-            return "iv"
+    """(row of _RULES, leaves C, D, E) for the rule whose redex f is, the
+    right side tried before the left; None when f is no redex."""
+    for side in ("right", "left"):
+        rule = _RULES.get((type(f), side))
+        if rule is None or not isinstance(getattr(f, side), Conj):
+            continue
+        if side == "right":
+            return rule, (f.left, f.right.left, f.right.right)
+        return rule, (f.left.left, f.left.right, f.right)
     return None
-
-
-def _apply_rule(rule: str, f: Formula) -> Formula:
-    if rule == "i":
-        return Conj(Impl(f.left, f.right.left), Impl(f.left, f.right.right))
-    if rule == "ii":
-        return Impl(f.left.left, Impl(f.left.right, f.right))
-    if rule == "iii":
-        return Conj(Disj(f.left, f.right.left), Disj(f.left, f.right.right))
-    if rule == "iv":
-        return Conj(Disj(f.left.left, f.right), Disj(f.left.right, f.right))
-    raise ValueError(f"unknown rule {rule!r}")
 
 
 def _find_redex(f: Formula, path=()):  # innermost-leftmost
@@ -77,9 +79,8 @@ def _find_redex(f: Formula, path=()):  # innermost-leftmost
         found = _find_redex(child, path + (direction,))
         if found is not None:
             return found
-    rule = _match_rule(f)
-    if rule is not None:
-        return (rule, path)
+    if _match_rule(f) is not None:
+        return path
     return None
 
 
@@ -98,24 +99,12 @@ def gamma(a: Formula) -> GammaForm:
     trace = []
     cur = a
     while True:
-        found = _find_redex(cur)
-        if found is None:
+        path = _find_redex(cur)
+        if path is None:
             return GammaForm(cur, tuple(trace))
-        rule, path = found
-        trace.append((rule, path))
-        cur = replace_at(cur, path, _apply_rule(rule, subformula_at(cur, path)))
-
-
-def _rule_pair(rule: str, redex: Formula, calculus: CalculusId) -> EquivalencePair:
-    if rule == "i":
-        return l2_21(redex.left, redex.right.left, redex.right.right, calculus)
-    if rule == "ii":
-        return l2_22(redex.left.left, redex.left.right, redex.right, calculus)
-    if rule == "iii":
-        return l2_25(redex.left, redex.right.left, redex.right.right, calculus)
-    if rule == "iv":
-        return l2_26(redex.left.left, redex.left.right, redex.right, calculus)
-    raise ValueError(f"unknown rule {rule!r}")
+        (name, rewrite, _), leaves = _match_rule(subformula_at(cur, path))
+        trace.append((name, path))
+        cur = replace_at(cur, path, rewrite(*leaves))
 
 
 def gamma_equivalence(a: Formula,
@@ -125,9 +114,9 @@ def gamma_equivalence(a: Formula,
         raise TacticError(f"{a} outside the {calculus} fragment")
     acc = reflexive_pair(a, calculus)
     cur = a
-    for rule, path in gamma(a).trace:
-        redex = subformula_at(cur, path)
-        step = substitute_equivalents(cur, path, _rule_pair(rule, redex, calculus))
+    for _, path in gamma(a).trace:
+        (_, _, lemma), leaves = _match_rule(subformula_at(cur, path))
+        step = substitute_equivalents(cur, path, lemma(*leaves, calculus))
         acc = compose_pairs(acc, step)
         cur = step.right
     return acc
@@ -189,7 +178,7 @@ def _disj_as_impl_pair(x: Formula, y: Formula,
     fwd = _discharge(b.build(conclusion=out, hypotheses={disj, Impl(x, y)}),
                      Impl(x, y))
     bwd = l2_19(x, y, calculus)
-    return EquivalencePair(fwd, bwd, DERIVABILITY)
+    return EquivalencePair(fwd, bwd)
 
 
 def tau_equivalence(a: Formula,

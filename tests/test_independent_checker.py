@@ -1,9 +1,11 @@
-"""kernel.check against the benchmark's independent reference checker.
+"""posprop against the benchmark's independent reference implementations.
 
 perfbench/reference.py compares formulas as plain tuples, by structure,
 and imports nothing from posprop; it is imported here unchanged.  On every
 proof of two small sweeps, and on three single-step mutations of each,
-the two checkers must return the same verdict.
+kernel.check and the reference checker must return the same verdict.  The
+enumerator, the printer and fragment_of must agree with the reference's
+on every small formula of each fragment.
 """
 
 import random
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from posprop.formula import Atom, Fragment, Impl, enumerate_formulas
+from posprop.formula import (Atom, Fragment, Impl, enumerate_formulas,
+                             fragment_of, pretty)
 from posprop.kalmar import prove
 from posprop.kernel import AxiomStep, CalculusId, Derivation, MPStep, check
 from posprop.semantics import is_tautology
@@ -86,3 +89,24 @@ def test_kernel_agrees_with_reference_checker(sweep):
     assert rejected["swap"] == sum(1 for d in proofs
                                    if any(type(s) is MPStep for s in d.steps))
     assert rejected["scheme"] > 0 and rejected["formula"] > 0
+
+
+FRAGMENT_OPS = {
+    Fragment.IMPLICATIVE: ["->"],
+    Fragment.IMPLICATIVE_DISJUNCTIVE: ["->", "v"],
+    Fragment.IMPLICATIVE_CONJUNCTIVE: ["->", "&"],
+    Fragment.POSITIVE: ["->", "v", "&"],
+}
+
+
+@pytest.mark.parametrize("fragment", list(Fragment), ids=lambda f: f.name)
+def test_vocabulary_agrees_with_reference(fragment):
+    formulas = list(enumerate_formulas(3, [1, 2], fragment))
+    read = reference.Reader()
+    tuples = [read(f) for f in formulas]
+    expected = reference.enumerate_formulas(3, 2, FRAGMENT_OPS[fragment])
+    assert tuples == [t for t, _ in expected]
+    for f, t in zip(formulas, tuples):
+        assert pretty(f) == reference.pretty(t)
+        present = ["->"] + [op for op in ("v", "&") if reference.has_op(t, op)]
+        assert FRAGMENT_OPS[fragment_of(f)] == present

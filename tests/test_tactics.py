@@ -199,6 +199,10 @@ class TestGoldenLemmas:
         with pytest.raises(TacticError):
             lemma(LemmaId.L2_16, ([P1, P2], [P1, P3]), CalculusId.ID)
 
+    def test_l2_16_needs_a_source(self):
+        with pytest.raises(TacticError):
+            lemma(LemmaId.L2_16, ([], [P1]), CalculusId.ID)
+
     def test_l2_15_singleton_is_reflexive(self):
         p = lemma(LemmaId.L2_15, [P1, P2], CalculusId.ID)
         assert p.left == p.right == parse("p1 v p2")
@@ -347,6 +351,12 @@ class TestConjunctions:
         back = split_conjunction(d, 3)
         assert [x.conclusion for x in back] == [p.conclusion for p in parts]
         assert all(not x.hypotheses for x in back)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_split_needs_a_positive_count(self, n):
+        d = conjoin([self.closed("p1"), self.closed("p2")])
+        with pytest.raises(TacticError):
+            split_conjunction(d, n)
 
     def test_conjoin_singleton(self):
         d = conjoin([self.closed("p1")])
