@@ -6,9 +6,10 @@ binary connectives ``->`` (implication), ``v`` (disjunction) and ``&``
 binding, so two formulas are "the same" iff their trees are equal.
 
 The node classes Impl, Disj and Conj are the one statement of the
-connective vocabulary: each carries its ``symbol``, its printing
-``precedence`` (also its code in the order R) and its ``bit`` in the
-connective mask.  A Fragment is such a mask.
+connective vocabulary: each carries its ``symbol``, its ``precedence``
+(also its code in the order R) and its ``bit`` in the connective mask.
+The tokenizer, the parser and the printer read ``symbol`` and
+``precedence`` from them, and a Fragment is such a mask.
 """
 
 from __future__ import annotations
@@ -142,100 +143,77 @@ def fragment_of(f: Formula) -> Fragment:
 # atom    := "p" [1-9][0-9]*
 #
 # Precedence & > v > ->, all right-associative; whitespace insignificant.
+# The symbols and the precedence order are read from the node classes.
 
-_TOKEN_RE = re.compile(r"\s*(->|[v&()]|p[1-9][0-9]*)")
+_CONNECTIVES = {c.symbol: c for c in (Impl, Disj, Conj)}
+_TOKEN_RE = re.compile(r"\s*(?:(%s|[()]|p[1-9][0-9]*)|(\S))"
+                       % "|".join(map(re.escape, _CONNECTIVES)))
+_ANY_TOKEN = f"a token ({', '.join(map(repr, [*_CONNECTIVES, '(', ')']))} or 'pN')"
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(pos, "a token ('->', 'v', '&', '(', ')' or 'pN')", repr(stripped[0]))
+    for m in _TOKEN_RE.finditer(text):
+        if m.group(2) is not None:
+            raise ParseError(m.start(), _ANY_TOKEN, repr(m.group(2)))
         tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
     return tokens
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula; raises ParseError on bad input."""
     tokens = _tokenize(text)
+    end = len(tokens)
     idx = 0
 
-    def peek():
-        return tokens[idx][0] if idx < len(tokens) else None
-
     def fail(expected):
-        if idx < len(tokens):
+        if idx < end:
             raise ParseError(tokens[idx][1], expected, repr(tokens[idx][0]))
         raise ParseError(len(text), expected, "end of input")
 
-    def impl():
-        lhs = disj()
-        if peek() == "->":
-            advance()
-            return Impl(lhs, impl())
-        return lhs
-
-    def disj():
-        lhs = conj()
-        if peek() == "v":
-            advance()
-            return Disj(lhs, disj())
-        return lhs
-
-    def conj():
-        lhs = primary()
-        if peek() == "&":
-            advance()
-            return Conj(lhs, conj())
-        return lhs
-
-    def primary():
-        tok = peek()
-        if tok is None:
-            fail("an atom or '('")
-        if tok == "(":
-            advance()
-            f = impl()
-            if peek() != ")":
-                fail("')'")
-            advance()
-            return f
-        if tok.startswith("p"):
-            advance()
-            return Atom(int(tok[1:]))
-        fail("an atom or '('")
-
-    def advance():
+    def operand(floor):
+        # A primary, then every connective binding at least as tightly as
+        # floor; the right operand's floor is the connective's own
+        # precedence, which makes each connective right-associative.
         nonlocal idx
-        idx += 1
+        tok = tokens[idx][0] if idx < end else ""
+        if tok == "(":
+            idx += 1
+            lhs = operand(0)
+            if idx == end or tokens[idx][0] != ")":
+                fail("')'")
+        elif tok[:1] == "p":
+            lhs = Atom(int(tok[1:]))
+        else:
+            fail("an atom or '('")
+        idx += 1  # past the atom or the ')'
+        while idx < end:
+            ctor = _CONNECTIVES.get(tokens[idx][0])
+            if ctor is None or ctor.precedence < floor:
+                break
+            idx += 1
+            lhs = ctor(lhs, operand(ctor.precedence))
+        return lhs
 
-    result = impl()
-    if idx != len(tokens):
+    result = operand(0)
+    if idx != end:
         fail("end of input")
     return result
 
 
 def pretty(f: Formula) -> str:
-    """Render with minimal parentheses under the right-association convention."""
+    """Render with minimal parentheses under the right-association
+    convention: a left operand is parenthesized when it binds no tighter
+    than its parent, a right operand when it binds less tightly."""
     if isinstance(f, Atom):
         return f"p{f.index}"
-    prec = f.precedence
-
-    def side(g: Formula, is_left: bool) -> str:
-        s = pretty(g)
-        if isinstance(g, Atom):
-            return s
-        if g.precedence < prec or (is_left and g.precedence == prec):
-            return f"({s})"
-        return s
-
-    return f"{side(f.left, True)} {f.symbol} {side(f.right, False)}"
+    left, right, prec = f.left, f.right, f.precedence
+    ls, rs = pretty(left), pretty(right)
+    if not isinstance(left, Atom) and left.precedence <= prec:
+        ls = f"({ls})"
+    if not isinstance(right, Atom) and right.precedence < prec:
+        rs = f"({rs})"
+    return f"{ls} {f.symbol} {rs}"
 
 
 # ---------------------------------------------------------------------------

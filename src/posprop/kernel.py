@@ -127,18 +127,18 @@ class CalculusId(Enum):
 # ---------------------------------------------------------------------------
 # proof objects
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxiomStep:
     scheme: SchemeId
     formula: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HypStep:
     formula: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MPStep:
     major: int  # index of the implication
     minor: int  # index of its antecedent
@@ -146,6 +146,7 @@ class MPStep:
 
 
 Step = Union[AxiomStep, HypStep, MPStep]
+_STEP_TYPES = (AxiomStep, HypStep, MPStep)
 
 
 @dataclass(frozen=True)
@@ -187,46 +188,59 @@ class CheckError(ValueError):
 
 def check(d: Derivation) -> list:
     """Full independent validation; returns a list of StepErrors (empty
-    means the derivation is good)."""
+    means the derivation is good).  Steps of an unknown type, formulas
+    that are not Formulas and non-integer MP indices are reported as
+    errors, not raised."""
     errors = []
     fragment = d.calculus.fragment
     forbidden = ~fragment.mask
     steps = d.steps
     hypotheses = d.hypotheses
     for h in hypotheses:
-        if h.mask & forbidden:
+        if not isinstance(h, Formula):
+            errors.append(StepError(-1, "not-a-formula", f"hypothesis {h!r}"))
+        elif h.mask & forbidden:
             errors.append(StepError(-1, "fragment-violation",
                                     f"hypothesis {h} outside {fragment.name}"))
     for i, step in enumerate(steps):
+        kind = type(step)
+        if kind not in _STEP_TYPES:
+            errors.append(StepError(i, "unknown-step", repr(step)))
+            continue
         formula = step.formula
+        if not isinstance(formula, Formula):
+            errors.append(StepError(i, "not-a-formula", repr(formula)))
+            continue
         if formula.mask & forbidden:
             errors.append(StepError(i, "fragment-violation",
                                     f"{formula} outside {fragment.name}"))
             continue
-        if type(step) is MPStep:
+        if kind is MPStep:
+            if type(step.major) is not int or type(step.minor) is not int:
+                errors.append(StepError(i, "forward-reference",
+                                        f"MP cites {step.major!r}, {step.minor!r}"))
+                continue
             if not (0 <= step.major < i and 0 <= step.minor < i):
                 errors.append(StepError(i, "forward-reference",
                                         f"MP cites steps {step.major + 1}, {step.minor + 1}"))
                 continue
-            major = steps[step.major].formula
-            minor = steps[step.minor].formula
+            major = getattr(steps[step.major], "formula", None)
+            minor = getattr(steps[step.minor], "formula", None)
             if not (type(major) is Impl and major.left is minor
                     and major.right is formula):
                 errors.append(StepError(i, "mp-mismatch",
                                         f"{major} and {minor} do not yield {formula}"))
-        elif type(step) is AxiomStep:
-            if step.scheme not in d.calculus.schemes:
+        elif kind is AxiomStep:
+            if not (isinstance(step.scheme, SchemeId)
+                    and step.scheme in d.calculus.schemes):
                 errors.append(StepError(i, "scheme-not-in-calculus",
                                         f"{step.scheme} not available in {d.calculus}"))
             elif not _is_instance(step.scheme, formula):
                 errors.append(StepError(i, "bad-axiom-instance",
                                         f"{formula} does not instantiate {step.scheme}"))
-        elif type(step) is HypStep:
-            if formula not in hypotheses:
-                errors.append(StepError(i, "hypothesis-not-declared",
-                                        f"{formula} not among the declared hypotheses"))
-        else:
-            errors.append(StepError(i, "unknown-step", repr(step)))
+        elif formula not in hypotheses:  # a HypStep
+            errors.append(StepError(i, "hypothesis-not-declared",
+                                    f"{formula} not among the declared hypotheses"))
     return errors
 
 

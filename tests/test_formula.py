@@ -39,11 +39,21 @@ class TestParse:
     def test_whitespace_insignificant(self):
         assert parse("p1->p2&p3") == parse("p1 -> p2 & p3")
 
-    @pytest.mark.parametrize("bad", ["", "p0", "q1", "p1 ->", "(p1", "p1)",
-                                     "p1 p2", "-> p1", "p1 v v p2"])
-    def test_rejects(self, bad):
-        with pytest.raises(ParseError):
+    _ATOM = "an atom or '('"
+    _TOKEN = "a token ('->', 'v', '&', '(', ')' or 'pN')"
+
+    _REJECTS = [
+        ("", 0, _ATOM), ("p0", 0, _TOKEN), ("q1", 0, _TOKEN),
+        ("p1 ->", 5, _ATOM), ("(p1", 3, "')'"), ("p1)", 2, "end of input"),
+        ("p1 p2", 3, "end of input"), ("-> p1", 0, _ATOM), ("p1 v v p2", 5, _ATOM),
+        ("p1 -> )", 6, _ATOM), ("p1 -> p2 x", 8, _TOKEN)]
+
+    @pytest.mark.parametrize("bad, position, expected", _REJECTS,
+                             ids=[bad for bad, _, _ in _REJECTS])
+    def test_rejects(self, bad, position, expected):
+        with pytest.raises(ParseError) as exc:
             parse(bad)
+        assert (exc.value.position, exc.value.expected) == (position, expected)
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as exc:

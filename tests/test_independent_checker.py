@@ -5,7 +5,8 @@ and imports nothing from posprop; it is imported here unchanged.  On every
 proof of two small sweeps, and on three single-step mutations of each,
 kernel.check and the reference checker must return the same verdict.  The
 enumerator, the printer and fragment_of must agree with the reference's
-on every small formula of each fragment.
+on every small formula of each fragment, and the parser must read back
+both the reference's printing and a fully parenthesized one.
 """
 
 import random
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from posprop.formula import (Atom, Fragment, Impl, enumerate_formulas,
-                             fragment_of, pretty)
+                             fragment_of, parse, pretty)
 from posprop.kalmar import prove
 from posprop.kernel import AxiomStep, CalculusId, Derivation, MPStep, check
 from posprop.semantics import is_tautology
@@ -99,6 +100,13 @@ FRAGMENT_OPS = {
 }
 
 
+def _parenthesized(t) -> str:
+    """t's concrete syntax with every connective node in parentheses."""
+    if t[0] == "p":
+        return f"p{t[1]}"
+    return f"({_parenthesized(t[1])} {t[0]} {_parenthesized(t[2])})"
+
+
 @pytest.mark.parametrize("fragment", list(Fragment), ids=lambda f: f.name)
 def test_vocabulary_agrees_with_reference(fragment):
     formulas = list(enumerate_formulas(3, [1, 2], fragment))
@@ -108,5 +116,7 @@ def test_vocabulary_agrees_with_reference(fragment):
     assert tuples == [t for t, _ in expected]
     for f, t in zip(formulas, tuples):
         assert pretty(f) == reference.pretty(t)
+        assert parse(reference.pretty(t)) is f
+        assert parse(_parenthesized(t)) is f
         present = ["->"] + [op for op in ("v", "&") if reference.has_op(t, op)]
         assert FRAGMENT_OPS[fragment_of(f)] == present

@@ -122,6 +122,26 @@ class TestCheck:
         with pytest.raises(CheckError):
             verify(d)
 
+    _IMP = parse("p1 -> p2")
+
+    @pytest.mark.parametrize("hyps, steps, code", [
+        ((), (object(),), "unknown-step"),
+        ((), (HypStep("p1"),), "not-a-formula"),
+        (("p1",), (AxiomStep(SchemeId.AX1, parse("p1 -> p2 -> p1")),), "not-a-formula"),
+        ((_IMP, Atom(1)), (HypStep(_IMP), HypStep(Atom(1)), MPStep("0", 1, Atom(2))),
+         "forward-reference"),
+        ((_IMP, Atom(1)), (HypStep(_IMP), HypStep(Atom(1)), MPStep(0, True, Atom(2))),
+         "forward-reference"),
+        ((), (object(), MPStep(0, 0, Atom(2))), "mp-mismatch"),
+        ((), (AxiomStep([], parse("p1 -> p2 -> p1")),), "scheme-not-in-calculus"),
+    ], ids=["unknown-step", "step-formula", "hypothesis", "str-index", "bool-index",
+            "cites-unknown-step", "unhashable-scheme"])
+    def test_malformed_reported_not_raised(self, hyps, steps, code):
+        d = Derivation(CalculusId.I, frozenset(hyps), steps)
+        assert code in codes(check(d))
+        with pytest.raises(CheckError):
+            verify(d)
+
     def test_empty_derivation_rejected(self):
         with pytest.raises(ValueError):
             Derivation(CalculusId.I, frozenset(), ())
