@@ -155,7 +155,7 @@ def _tokenize(text: str):
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         if m.group(2) is not None:
-            raise ParseError(m.start(), _ANY_TOKEN, repr(m.group(2)))
+            raise ParseError(m.start(2), _ANY_TOKEN, repr(m.group(2)))
         tokens.append((m.group(1), m.start(1)))
     return tokens
 

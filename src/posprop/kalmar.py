@@ -27,9 +27,9 @@ from .formula import (Atom, Conj, Disj, Formula, Impl, atoms_of, delta_set,
 from .kernel import (CalculusId, Derivation, SchemeId, hypothesis, prune,
                      verify)
 from .semantics import evaluate, find_countermodel
-from .tactics import (ProofBuilder, TacticError, _compose, _deduction_body,
-                      _elim, _inject, deduction, l2_5, l2_13, l2_17, l2_18,
-                      l2_25)
+from .tactics import (ProofBuilder, TacticError, _compose, _conj_intro,
+                      _deduction_body, _elim, _inject, deduction, l2_5, l2_13,
+                      l2_17, l2_18, l2_25)
 
 
 class NotTautology(ValueError):
@@ -180,13 +180,11 @@ def lemma_4_1(v: dict, a: Formula, bf: Formula, da: Derivation,
     delta = delta_set(v, conj)
     b = ProofBuilder(da.calculus)
     if not delta:
-        ax9 = b.axiom(SchemeId.AX9, A=a, B=bf)
-        out = b.mp(b.mp(ax9, b.include(da)), b.include(db))
+        out = _conj_intro(b, b.include(da), b.include(db))
         return b.build(conclusion=out, hypotheses=da.hypotheses | db.hypotheses)
     c_chain = disj_chain(r_sorted(delta))
     cva, cvb = _or_chain(b, v, da, a, c_chain), _or_chain(b, v, db, bf, c_chain)
-    ax9 = b.axiom(SchemeId.AX9, A=Disj(c_chain, a), B=Disj(c_chain, bf))
-    packed = b.mp(b.mp(ax9, cva), cvb)
+    packed = _conj_intro(b, cva, cvb)
     # l2_25's backward half as a thesis: spliced by hyp_map, its lines merge
     # with cva/cvb into a redundant case split when a is a true atom
     back = l2_25(c_chain, a, bf, da.calculus).backward

@@ -22,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .formula import Conj, Disj, Formula, Fragment, Impl
+from .formula import Atom, Conj, Disj, Formula, Fragment, Impl
 
 
 class SchemeId(Enum):
@@ -147,6 +147,7 @@ class MPStep:
 
 Step = Union[AxiomStep, HypStep, MPStep]
 _STEP_TYPES = (AxiomStep, HypStep, MPStep)
+_NODE_TYPES = (Atom, Impl, Disj, Conj)  # the bare Formula base has no mask
 
 
 @dataclass(frozen=True)
@@ -188,16 +189,18 @@ class CheckError(ValueError):
 
 def check(d: Derivation) -> list:
     """Full independent validation; returns a list of StepErrors (empty
-    means the derivation is good).  Steps of an unknown type, formulas
-    that are not Formulas and non-integer MP indices are reported as
-    errors, not raised."""
+    means the derivation is good).  A calculus that is not a CalculusId,
+    steps of an unknown type, formulas that are not formula nodes and
+    non-integer MP indices are reported as errors, not raised."""
+    if not isinstance(d.calculus, CalculusId):
+        return [StepError(-1, "unknown-calculus", repr(d.calculus))]
     errors = []
     fragment = d.calculus.fragment
     forbidden = ~fragment.mask
     steps = d.steps
     hypotheses = d.hypotheses
     for h in hypotheses:
-        if not isinstance(h, Formula):
+        if not isinstance(h, _NODE_TYPES):
             errors.append(StepError(-1, "not-a-formula", f"hypothesis {h!r}"))
         elif h.mask & forbidden:
             errors.append(StepError(-1, "fragment-violation",
@@ -208,7 +211,7 @@ def check(d: Derivation) -> list:
             errors.append(StepError(i, "unknown-step", repr(step)))
             continue
         formula = step.formula
-        if not isinstance(formula, Formula):
+        if not isinstance(formula, _NODE_TYPES):
             errors.append(StepError(i, "not-a-formula", repr(formula)))
             continue
         if formula.mask & forbidden:

@@ -16,7 +16,11 @@ The central tool is ProofBuilder, which accumulates steps, deduplicates
 lines by formula (a sound peephole: an identical earlier line under the
 same hypotheses proves the same thing), splices existing derivations with
 index re-offsetting, and drops the steps a conclusion does not cite when
-it freezes a derivation.
+it freezes a derivation.  Three moves on its lines are written once and
+used by every builder: _cases (Ax6 case analysis), _conj_intro (Ax9
+introduction) and _conj_elim (Ax7/Ax8 elimination).  The biconditional
+helpers of Lemma 2.20 are conjoin and split_conjunction of an
+equivalence pair's two thesis halves.
 """
 
 from __future__ import annotations
@@ -219,6 +223,18 @@ def _cases(b: ProofBuilder, first: int, second: int, disj: int) -> int:
     return b.mp(b.mp(b.mp(ax6, first), second), disj)
 
 
+def _conj_intro(b: ProofBuilder, left: int, right: int) -> int:
+    """From lines x and y, derive x & y (Ax9)."""
+    ax9 = b.axiom(SchemeId.AX9, A=b.formula_at(left), B=b.formula_at(right))
+    return b.mp(b.mp(ax9, left), right)
+
+
+def _conj_elim(b: ProofBuilder, conj: int, scheme: SchemeId) -> int:
+    """From line x & y, derive x (Ax7) or y (Ax8)."""
+    f = b.formula_at(conj)
+    return b.mp(b.axiom(scheme, A=f.left, B=f.right), conj)
+
+
 def _elim(b: ProofBuilder, tree: Formula, leaves: dict) -> int:
     """Line proving tree -> T, given leaves mapping each designated
     disjunct e to a line proving e -> T (Ax6 recursion)."""
@@ -319,34 +335,6 @@ def compose_pairs(p: EquivalencePair, q: EquivalencePair) -> EquivalencePair:
                            chain(q.backward, p.backward, q.right))
 
 
-def pair_to_biconditional(p: EquivalencePair) -> Derivation:
-    """Pack a pair as ⊢ (A -> B) & (B -> A); needs Ax9 (IC or P).
-    The result is unchecked."""
-    p = as_thesis(p)
-    b = ProofBuilder(p.calculus)
-    fwd = b.include(p.forward)
-    bwd = b.include(p.backward)
-    ax9 = b.axiom(SchemeId.AX9, A=b.formula_at(fwd), B=b.formula_at(bwd))
-    return b.build(conclusion=b.mp(b.mp(ax9, fwd), bwd), hypotheses=())
-
-
-def biconditional_to_pair(d: Derivation) -> EquivalencePair:
-    """Unpack ⊢ (A -> B) & (B -> A) into a thesis-form pair via Ax7/Ax8.
-    The halves are unchecked."""
-    conc = d.conclusion
-    if not (isinstance(conc, Conj) and isinstance(conc.left, Impl)
-            and isinstance(conc.right, Impl)):
-        raise TacticError(f"not a biconditional conclusion: {conc}")
-
-    def project(scheme: SchemeId) -> Derivation:
-        b = ProofBuilder(d.calculus)
-        whole = b.include(d)
-        ax = b.axiom(scheme, A=conc.left, B=conc.right)
-        return b.build(conclusion=b.mp(ax, whole), hypotheses=())
-
-    return EquivalencePair(project(SchemeId.AX7), project(SchemeId.AX8))
-
-
 # ---------------------------------------------------------------------------
 # conjunction assembly
 
@@ -355,10 +343,8 @@ def _extract_conjuncts(b: ProofBuilder, index: int, table: dict) -> None:
     f = b.formula_at(index)
     table.setdefault(f, index)
     if isinstance(f, Conj):
-        ax7 = b.axiom(SchemeId.AX7, A=f.left, B=f.right)
-        _extract_conjuncts(b, b.mp(ax7, index), table)
-        ax8 = b.axiom(SchemeId.AX8, A=f.left, B=f.right)
-        _extract_conjuncts(b, b.mp(ax8, index), table)
+        for scheme in (SchemeId.AX7, SchemeId.AX8):
+            _extract_conjuncts(b, _conj_elim(b, index, scheme), table)
 
 
 def _rebuild_conjunction(b: ProofBuilder, target: Formula, table: dict) -> int:
@@ -367,10 +353,8 @@ def _rebuild_conjunction(b: ProofBuilder, target: Formula, table: dict) -> int:
         return table[target]
     if not isinstance(target, Conj):
         raise TacticError(f"no line available for conjunct {target}")
-    left = _rebuild_conjunction(b, target.left, table)
-    right = _rebuild_conjunction(b, target.right, table)
-    ax9 = b.axiom(SchemeId.AX9, A=target.left, B=target.right)
-    return b.mp(b.mp(ax9, left), right)
+    return _conj_intro(b, _rebuild_conjunction(b, target.left, table),
+                       _rebuild_conjunction(b, target.right, table))
 
 
 def conjoin(ds, calculus: CalculusId = None) -> Derivation:
@@ -413,15 +397,28 @@ def split_conjunction(d: Derivation, n: int) -> list:
         b = ProofBuilder(d.calculus)
         cur = b.include(d)
         for _ in range(j):
-            g = b.formula_at(cur)
-            ax = b.axiom(SchemeId.AX8, A=g.left, B=g.right)
-            cur = b.mp(ax, cur)
-        g = b.formula_at(cur)
+            cur = _conj_elim(b, cur, SchemeId.AX8)
         if j < n - 1:
-            ax = b.axiom(SchemeId.AX7, A=g.left, B=g.right)
-            cur = b.mp(ax, cur)
+            cur = _conj_elim(b, cur, SchemeId.AX7)
         results.append(b.build(conclusion=cur, hypotheses=()))
     return results
+
+
+def pair_to_biconditional(p: EquivalencePair) -> Derivation:
+    """Pack a pair as ⊢ (A -> B) & (B -> A): conjoin its thesis halves, so
+    it needs Ax9 (IC or P).  The result is unchecked."""
+    p = as_thesis(p)
+    return conjoin([p.forward, p.backward])
+
+
+def biconditional_to_pair(d: Derivation) -> EquivalencePair:
+    """Unpack closed ⊢ (A -> B) & (B -> A) into a thesis-form pair: split
+    the conjunction.  The halves are unchecked."""
+    conc = d.conclusion
+    if not (isinstance(conc, Conj) and isinstance(conc.left, Impl)
+            and isinstance(conc.right, Impl)):
+        raise TacticError(f"not a biconditional conclusion: {conc}")
+    return EquivalencePair(*split_conjunction(d, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -596,23 +593,20 @@ def l2_21(a, bf, c, calculus=CalculusId.IC) -> EquivalencePair:
     def projected(scheme: SchemeId) -> Derivation:
         b = ProofBuilder(calculus)
         bc = b.mp(b.hyp(h), b.hyp(a))
-        ax = b.axiom(scheme, A=bf, B=c)
-        return _deduction_body(b.build(conclusion=b.mp(ax, bc)), a)
+        return _deduction_body(b.build(conclusion=_conj_elim(b, bc, scheme)), a)
 
     b = ProofBuilder(calculus)
     ab = b.include(projected(SchemeId.AX7))
     ac = b.include(projected(SchemeId.AX8))
-    ax9 = b.axiom(SchemeId.AX9, A=Impl(a, bf), B=Impl(a, c))
-    fwd = b.build(conclusion=b.mp(b.mp(ax9, ab), ac), hypotheses={h})
+    fwd = b.build(conclusion=_conj_intro(b, ab, ac), hypotheses={h})
 
     r = Conj(Impl(a, bf), Impl(a, c))
     b2 = ProofBuilder(calculus)
     hr = b2.hyp(r)
     ha = b2.hyp(a)
-    left = b2.mp(b2.mp(b2.axiom(SchemeId.AX7, A=Impl(a, bf), B=Impl(a, c)), hr), ha)
-    right = b2.mp(b2.mp(b2.axiom(SchemeId.AX8, A=Impl(a, bf), B=Impl(a, c)), hr), ha)
-    ax9b = b2.axiom(SchemeId.AX9, A=bf, B=c)
-    inner = b2.build(conclusion=b2.mp(b2.mp(ax9b, left), right),
+    left = b2.mp(_conj_elim(b2, hr, SchemeId.AX7), ha)
+    right = b2.mp(_conj_elim(b2, hr, SchemeId.AX8), ha)
+    inner = b2.build(conclusion=_conj_intro(b2, left, right),
                      hypotheses={r, a})
     return EquivalencePair(fwd, _deduction_body(inner, a))
 
@@ -623,17 +617,15 @@ def l2_22(a, bf, c, calculus=CalculusId.IC) -> EquivalencePair:
 
     b = ProofBuilder(calculus)
     hp = b.hyp(packed)
-    ha, hb = b.hyp(a), b.hyp(bf)
-    ax9 = b.axiom(SchemeId.AX9, A=a, B=bf)
-    ab = b.mp(b.mp(ax9, ha), hb)
+    ab = _conj_intro(b, b.hyp(a), b.hyp(bf))
     fwd = _discharge(_discharge(
         b.build(conclusion=b.mp(hp, ab), hypotheses={packed, a, bf}), bf), a)
 
     b2 = ProofBuilder(calculus)
     hc = b2.hyp(curried)
     hab = b2.hyp(Conj(a, bf))
-    left = b2.mp(b2.axiom(SchemeId.AX7, A=a, B=bf), hab)
-    right = b2.mp(b2.axiom(SchemeId.AX8, A=a, B=bf), hab)
+    left = _conj_elim(b2, hab, SchemeId.AX7)
+    right = _conj_elim(b2, hab, SchemeId.AX8)
     bwd = _deduction_body(
         b2.build(conclusion=b2.mp(b2.mp(hc, left), right),
                  hypotheses={curried, Conj(a, bf)}), Conj(a, bf))
@@ -694,20 +686,19 @@ def _distribution(c, a, bf, calculus, c_first: bool) -> EquivalencePair:
         return _cases(b, first, second, h)
 
     s_a, s_b = half(a, SchemeId.AX7), half(bf, SchemeId.AX8)
-    ax9 = b.axiom(SchemeId.AX9, A=side_a, B=side_b)
-    fwd = b.build(conclusion=b.mp(b.mp(ax9, s_a), s_b), hypotheses={left})
+    fwd = b.build(conclusion=_conj_intro(b, s_a, s_b), hypotheses={left})
 
     b2 = ProofBuilder(calculus)
     hr = b2.hyp(right)
-    s1 = b2.mp(b2.axiom(SchemeId.AX7, A=side_a, B=side_b), hr)
-    s2 = b2.mp(b2.axiom(SchemeId.AX8, A=side_a, B=side_b), hr)
+    s1 = _conj_elim(b2, hr, SchemeId.AX7)
+    s2 = _conj_elim(b2, hr, SchemeId.AX8)
     inner, outer = order(bf, a)
     s_inner, s_outer = order(s2, s1)
 
     # inner -> (outer -> left)
     m = ProofBuilder(calculus)
     hyps = {f: m.hyp(f) for f in (inner, outer)}
-    conj = m.mp(m.mp(m.axiom(SchemeId.AX9, A=a, B=bf), hyps[a]), hyps[bf])
+    conj = _conj_intro(m, hyps[a], hyps[bf])
     lift = m.mp(m.axiom(x_in, A=ab, B=c), conj)
     m_line = b2.include(_discharge(_discharge(
         m.build(conclusion=lift), outer), inner))
@@ -790,15 +781,14 @@ def _congruence(context: Formula, direction: str,
             return b.build(conclusion=_cases(b, first, second, h),
                            hypotheses={src})
         if ctor is Conj:
-            first = b.mp(b.axiom(SchemeId.AX7, A=src.left, B=src.right), h)
-            second = b.mp(b.axiom(SchemeId.AX8, A=src.left, B=src.right), h)
-            old_line = second if direction == "right" else first
-            new_line = b.include(inner_fwd, hyp_map={old_child: old_line})
-            ax9 = b.axiom(SchemeId.AX9, A=dst.left, B=dst.right)
+            first = _conj_elim(b, h, SchemeId.AX7)
+            second = _conj_elim(b, h, SchemeId.AX8)
             if direction == "right":
-                out = b.mp(b.mp(ax9, first), new_line)
+                out = _conj_intro(b, first, b.include(
+                    inner_fwd, hyp_map={old_child: second}))
             else:
-                out = b.mp(b.mp(ax9, new_line), second)
+                out = _conj_intro(b, b.include(
+                    inner_fwd, hyp_map={old_child: first}), second)
             return b.build(conclusion=out, hypotheses={src})
         raise TacticError(f"unsupported context {context}")
 
@@ -853,7 +843,9 @@ class LemmaId(Enum):
     L5_1 = "5.1"
 
 
-_FIXED_ARITY = {
+# builder, number of formula arguments (None for the list forms below) and
+# least calculus; the ids absent here, L2_20 and L2_24, are operations
+_LEMMAS = {
     LemmaId.L2_5: (l2_5, 1, CalculusId.I),
     LemmaId.L2_6: (l2_6, 3, CalculusId.I),
     LemmaId.L2_7: (l2_7, 2, CalculusId.I),
@@ -864,20 +856,17 @@ _FIXED_ARITY = {
     LemmaId.L2_12: (l2_12, 4, CalculusId.ID),
     LemmaId.L2_13: (l2_13, 3, CalculusId.ID),
     LemmaId.L2_14: (l2_14, 3, CalculusId.ID),
+    LemmaId.L2_15: (l2_15, None, CalculusId.ID),
+    LemmaId.L2_16: (l2_16, None, CalculusId.ID),
     LemmaId.L2_17: (l2_17, 3, CalculusId.ID),
     LemmaId.L2_18: (l2_18, 2, CalculusId.ID),
     LemmaId.L2_19: (l2_19, 2, CalculusId.ID),
     LemmaId.L2_21: (l2_21, 3, CalculusId.IC),
     LemmaId.L2_22: (l2_22, 3, CalculusId.IC),
+    LemmaId.L2_23: (l2_23, None, CalculusId.IC),
     LemmaId.L2_25: (l2_25, 3, CalculusId.P),
     LemmaId.L2_26: (l2_26, 3, CalculusId.P),
     LemmaId.L5_1: (l5_1, 3, CalculusId.I),
-}
-
-_VARIADIC = {
-    # args: a list of leading formulas followed by the final one
-    LemmaId.L2_15: (l2_15, CalculusId.ID),
-    LemmaId.L2_23: (l2_23, CalculusId.IC),
 }
 
 # the pairs the paper states as theses ⊢ A -> B and ⊢ B -> A
@@ -889,40 +878,40 @@ def lemma(lemma_id: LemmaId, args, target: CalculusId):
     """Instantiate a lemma schema in the target calculus.
 
     For L2_16 pass args=(sources, targets) as two sequences; for the other
-    variadic ids (L2_15, L2_23) pass the leading formulas followed by the
+    list forms (L2_15, L2_23) pass the leading formulas followed by the
     final one.  L2_20 and L2_24 are not schematic derivations; use
     pair_to_biconditional / biconditional_to_pair and conjoin /
     split_conjunction respectively.  The result is kernel-checked: a
     derivation, or both halves of an EquivalencePair: 2.15 a derivability
     pair, the others the theses the paper states.
     """
-    if lemma_id in (LemmaId.L2_20, LemmaId.L2_24):
+    if lemma_id not in _LEMMAS:
         raise TacticError(
             f"{lemma_id.value} is an operation, not a derivation schema; "
             "see pair_to_biconditional/biconditional_to_pair and "
             "conjoin/split_conjunction")
+    ctor, arity, minimum = _LEMMAS[lemma_id]
+    if not target.extends(minimum):
+        raise TacticError(f"{target} lacks the schemes needed (requires {minimum})")
     if lemma_id is LemmaId.L2_16:
-        _require(target, CalculusId.ID)
         sources, targets = args
-        _check_fragment(list(sources) + list(targets), target)
-        result = l2_16(sources, targets, target)
-    elif lemma_id in _VARIADIC:
-        ctor, minimum = _VARIADIC[lemma_id]
-        _require(target, minimum)
-        args = list(args)
-        if len(args) < 2:
+        args = (list(sources), list(targets))
+        formulas = args[0] + args[1]
+    elif arity is None:
+        formulas = list(args)
+        if len(formulas) < 2:
             raise TacticError(f"{lemma_id.value} needs at least two formulas")
-        _check_fragment(args, target)
-        result = ctor(args[:-1], args[-1], target)
+        args = (formulas[:-1], formulas[-1])
     else:
-        ctor, arity, minimum = _FIXED_ARITY[lemma_id]
-        _require(target, minimum)
-        args = list(args)
+        formulas = args = list(args)
         if len(args) != arity:
             raise TacticError(
                 f"{lemma_id.value} takes {arity} formulas, got {len(args)}")
-        _check_fragment(args, target)
-        result = ctor(*args, target)
+    for f in formulas:
+        if not target.fragment.admits(f):
+            raise CheckError([StepError(-1, "fragment-violation",
+                                        f"{f} outside {target.fragment.name}")])
+    result = ctor(*args, target)
     if lemma_id in _THESES:
         result = as_thesis(result)
     if isinstance(result, EquivalencePair):
@@ -931,15 +920,3 @@ def lemma(lemma_id: LemmaId, args, target: CalculusId):
     else:
         verify(result)
     return result
-
-
-def _require(target: CalculusId, minimum: CalculusId) -> None:
-    if not target.extends(minimum):
-        raise TacticError(f"{target} lacks the schemes needed (requires {minimum})")
-
-
-def _check_fragment(args, target: CalculusId) -> None:
-    for f in args:
-        if not target.fragment.admits(f):
-            raise CheckError([StepError(-1, "fragment-violation",
-                                        f"{f} outside {target.fragment.name}")])

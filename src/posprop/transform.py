@@ -107,18 +107,21 @@ def gamma(a: Formula) -> GammaForm:
         cur = replace_at(cur, path, rewrite(*leaves))
 
 
+def _rewrite(pair: EquivalencePair, path, step: EquivalencePair) -> EquivalencePair:
+    """From a ⇄ c, a ⇄ c', c' being c with step.left at path replaced by
+    step.right (unchecked)."""
+    return compose_pairs(pair, substitute_equivalents(pair.right, path, step))
+
+
 def gamma_equivalence(a: Formula,
                       calculus: CalculusId = CalculusId.P) -> EquivalencePair:
     """Derivability pair between a and its gamma normal form (unchecked)."""
     if not calculus.fragment.admits(a):
         raise TacticError(f"{a} outside the {calculus} fragment")
     acc = reflexive_pair(a, calculus)
-    cur = a
     for _, path in gamma(a).trace:
-        (_, _, lemma), leaves = _match_rule(subformula_at(cur, path))
-        step = substitute_equivalents(cur, path, lemma(*leaves, calculus))
-        acc = compose_pairs(acc, step)
-        cur = step.right
+        (_, _, lemma), leaves = _match_rule(subformula_at(acc.right, path))
+        acc = _rewrite(acc, path, lemma(*leaves, calculus))
     return acc
 
 
@@ -147,8 +150,7 @@ def decompose(a: Formula, calculus: CalculusId = CalculusId.P) -> Decomposition:
     conjuncts = _conj_leaves(normal)
     target = conj_chain(conjuncts)
     if target != normal:
-        pair = compose_pairs(
-            pair, conj_reassociation(normal, target, calculus))
+        pair = _rewrite(pair, (), conj_reassociation(normal, target, calculus))
     return Decomposition(tuple(conjuncts), pair)
 
 
@@ -188,17 +190,13 @@ def tau_equivalence(a: Formula,
     if not CalculusId.ID.fragment.admits(a):
         raise TacticError(f"tau is defined on the ID fragment only, got {a}")
     acc = reflexive_pair(a, calculus)
-    cur = a
     if not isinstance(a, Atom):
         for direction, child in (("left", a.left), ("right", a.right)):
-            if tau(child) == child:
-                continue
-            inner = tau_equivalence(child, calculus)
-            step = substitute_equivalents(cur, (direction,), inner)
-            acc = compose_pairs(acc, step)
-            cur = step.right
+            if tau(child) != child:
+                acc = _rewrite(acc, (direction,), tau_equivalence(child, calculus))
     if isinstance(a, Disj):
-        acc = compose_pairs(acc, _disj_as_impl_pair(cur.left, cur.right, calculus))
+        cur = acc.right
+        acc = _rewrite(acc, (), _disj_as_impl_pair(cur.left, cur.right, calculus))
     return acc
 
 
@@ -271,8 +269,11 @@ def _prove_by_gamma(a: Formula, calculus: CalculusId, prove_part) -> Derivation:
 
 def prove_IC(a: Formula) -> Derivation:
     """Closed IC derivation of a tautology of the ->/& fragment: gamma
-    splits it into implicative parts, each proved via prove_I."""
-    return _prove_by_gamma(a, CalculusId.IC, prove_I)
+    splits it into implicative parts, each proved as prove_I does (ID
+    synthesis, then translation) but checked only inside the whole."""
+    return _prove_by_gamma(
+        a, CalculusId.IC,
+        lambda part: _translate(synthesize(part, CalculusId.ID)))
 
 
 def prove_P_reduction(a: Formula) -> Derivation:
@@ -288,15 +289,10 @@ def decompose_to_implicative(a: Formula) -> Decomposition:
     inside P: gamma decomposition followed by tau on each conjunct."""
     dec = decompose(a, CalculusId.P)
     pair = dec.equivalence
-    cur = dec.chain
     n = len(dec.conjuncts)
     for j, conjunct in enumerate(dec.conjuncts):
-        image = tau(conjunct)
-        if image == conjunct:
+        if tau(conjunct) == conjunct:
             continue
-        inner = tau_equivalence(conjunct, CalculusId.P)
         path = ("right",) * j if j == n - 1 else ("right",) * j + ("left",)
-        step = substitute_equivalents(cur, path, inner)
-        pair = compose_pairs(pair, step)
-        cur = step.right
+        pair = _rewrite(pair, path, tau_equivalence(conjunct, CalculusId.P))
     return Decomposition(tuple(tau(c) for c in dec.conjuncts), pair)

@@ -46,7 +46,7 @@ class TestParse:
         ("", 0, _ATOM), ("p0", 0, _TOKEN), ("q1", 0, _TOKEN),
         ("p1 ->", 5, _ATOM), ("(p1", 3, "')'"), ("p1)", 2, "end of input"),
         ("p1 p2", 3, "end of input"), ("-> p1", 0, _ATOM), ("p1 v v p2", 5, _ATOM),
-        ("p1 -> )", 6, _ATOM), ("p1 -> p2 x", 8, _TOKEN)]
+        ("p1 -> )", 6, _ATOM), ("p1 -> p2 x", 9, _TOKEN)]
 
     @pytest.mark.parametrize("bad, position, expected", _REJECTS,
                              ids=[bad for bad, _, _ in _REJECTS])

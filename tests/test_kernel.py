@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from posprop.formula import Atom, Fragment, parse
+from posprop.formula import Atom, Formula, Fragment, parse
 from posprop.kalmar import build_line, prove
 from posprop.kernel import (AxiomStep, CalculusId, CheckError, Derivation,
                             HypStep, MPStep, SchemeId, check, hypothesis,
@@ -123,21 +123,30 @@ class TestCheck:
             verify(d)
 
     _IMP = parse("p1 -> p2")
+    _I = CalculusId.I
 
-    @pytest.mark.parametrize("hyps, steps, code", [
-        ((), (object(),), "unknown-step"),
-        ((), (HypStep("p1"),), "not-a-formula"),
-        (("p1",), (AxiomStep(SchemeId.AX1, parse("p1 -> p2 -> p1")),), "not-a-formula"),
-        ((_IMP, Atom(1)), (HypStep(_IMP), HypStep(Atom(1)), MPStep("0", 1, Atom(2))),
+    @pytest.mark.parametrize("calc, hyps, steps, code", [
+        (_I, (), (object(),), "unknown-step"),
+        (_I, (), (HypStep("p1"),), "not-a-formula"),
+        (_I, ("p1",), (AxiomStep(SchemeId.AX1, parse("p1 -> p2 -> p1")),),
+         "not-a-formula"),
+        (_I, (_IMP, Atom(1)),
+         (HypStep(_IMP), HypStep(Atom(1)), MPStep("0", 1, Atom(2))),
          "forward-reference"),
-        ((_IMP, Atom(1)), (HypStep(_IMP), HypStep(Atom(1)), MPStep(0, True, Atom(2))),
+        (_I, (_IMP, Atom(1)),
+         (HypStep(_IMP), HypStep(Atom(1)), MPStep(0, True, Atom(2))),
          "forward-reference"),
-        ((), (object(), MPStep(0, 0, Atom(2))), "mp-mismatch"),
-        ((), (AxiomStep([], parse("p1 -> p2 -> p1")),), "scheme-not-in-calculus"),
+        (_I, (), (object(), MPStep(0, 0, Atom(2))), "mp-mismatch"),
+        (_I, (), (AxiomStep([], parse("p1 -> p2 -> p1")),), "scheme-not-in-calculus"),
+        ("I", (Atom(1),), (HypStep(Atom(1)),), "unknown-calculus"),
+        (_I, (), (HypStep(Formula()),), "not-a-formula"),
+        (_I, (Formula(),), (AxiomStep(SchemeId.AX1, parse("p1 -> p2 -> p1")),),
+         "not-a-formula"),
     ], ids=["unknown-step", "step-formula", "hypothesis", "str-index", "bool-index",
-            "cites-unknown-step", "unhashable-scheme"])
-    def test_malformed_reported_not_raised(self, hyps, steps, code):
-        d = Derivation(CalculusId.I, frozenset(hyps), steps)
+            "cites-unknown-step", "unhashable-scheme", "str-calculus",
+            "bare-formula-step", "bare-formula-hypothesis"])
+    def test_malformed_reported_not_raised(self, calc, hyps, steps, code):
+        d = Derivation(calc, frozenset(hyps), steps)
         assert code in codes(check(d))
         with pytest.raises(CheckError):
             verify(d)

@@ -264,6 +264,17 @@ class TestEquivalencePairs:
         back = biconditional_to_pair(packed)
         assert back.left == p.left and back.right == p.right
 
+    def test_biconditional_needs_conjunction(self):
+        # an ID pair has no Ax9 to pack it with
+        p = lemma(LemmaId.L2_15, [P1, P2, P3], CalculusId.ID)
+        with pytest.raises(TacticError):
+            pair_to_biconditional(p)
+
+    def test_biconditional_to_pair_requires_closed(self):
+        f = parse("(p1 -> p2) & (p2 -> p1)")
+        with pytest.raises(TacticError):
+            biconditional_to_pair(hypothesis(CalculusId.IC, f))
+
 
 PAIR_BUILDERS = {LemmaId.L2_21: l2_21, LemmaId.L2_22: l2_22,
                  LemmaId.L2_25: l2_25, LemmaId.L2_26: l2_26}

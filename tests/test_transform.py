@@ -280,6 +280,12 @@ class TestCheckOnce:
         assert [c for hyps, c in log if not hyps] == [f]
         assert all(hyps == {c} for hyps, c in log if hyps)
 
+    def test_prove_IC(self, fresh_proof_log):
+        # each conjunct's I proof is checked inside the assembled proof only
+        f = parse("(p1 -> p2 & p3) -> (p1 -> p3) & (p1 -> p2)")
+        prove_IC(f)
+        assert list(fresh_proof_log) == [(frozenset(), f)]
+
     def test_prove_I(self, fresh_proof_log):
         # only the I proof is checked, not the ID proof it is built from
         f = parse("((p1 -> p2) -> p1) -> p1")
