@@ -10,6 +10,12 @@ first in the order R: each inner node discharges its atom from the true
 child by the deduction theorem and joins the false child by case
 analysis, so the atoms are eliminated least first in the order R.
 
+Both levels build only what the proof cites.  A node whose true child
+never cites the split atom returns that child and builds no false
+subtree, no discharge and no join; and a node goal or a line target that
+instantiates an axiom scheme of the calculus is that one axiom step
+(Peirce's law ((p1 -> p2) -> p1) -> p1 is Ax3 at the root).
+
 The constructors, build_line, eliminate and synthesize return unchecked
 derivations; prove and derive_from_hypotheses run the kernel checker once
 on their result.
@@ -24,8 +30,8 @@ from .formula import (Atom, Conj, Disj, Formula, Impl, atoms_of, delta_set,
 # `prune` and `deduction` are not called here; they stay bound as
 # kalmar.prune and kalmar.deduction for the per-module tracer in
 # perfbench/spans.py
-from .kernel import (CalculusId, Derivation, SchemeId, hypothesis, prune,
-                     verify)
+from .kernel import (AxiomStep, CalculusId, Derivation, HypStep, SchemeId,
+                     _is_instance, hypothesis, prune, verify)
 from .semantics import evaluate, find_countermodel
 from .tactics import (ProofBuilder, TacticError, _compose, _conj_intro,
                       _deduction_body, _elim, _inject, deduction, l2_5, l2_13,
@@ -47,6 +53,24 @@ class LineCertificate:
     assignment: dict
     polarity: str  # "positive" | "negative"
     derivation: Derivation
+
+
+def _as_axiom(calc: CalculusId, hypotheses, goal: Formula):
+    """goal as a one-step derivation from hypotheses when it instantiates
+    a scheme of calc, else None.  The schemes are tried in SchemeId order,
+    not in calc.schemes' order, which follows the hash seed: p1 -> p1 v p1
+    is an instance of both Ax4 and Ax5."""
+    for scheme in SchemeId:
+        if scheme in calc.schemes and _is_instance(scheme, goal):
+            return Derivation(calc, hypotheses, (AxiomStep(scheme, goal),))
+    return None
+
+
+def _line_target(v: dict, f: Formula) -> Formula:
+    """What f's line concludes: (Delta[v;f])^f if v makes f true, else
+    (Delta[v;f])^~f."""
+    delta = delta_set(v, f)
+    return pos_encode(delta, f) if evaluate(v, f) else neg_encode(delta, f)
 
 
 def _chain_into(b: ProofBuilder, atom_set, target: Formula) -> dict:
@@ -214,7 +238,9 @@ def lemma_4_2(v: dict, a: Formula, bf: Formula, d: Derivation,
 def build_line(v: dict, a: Formula, calc: CalculusId) -> LineCertificate:
     """The per-assignment certificate: from the true atoms of a, derive the
     positive encoding of a (if v makes a true) or the negative one.  The
-    certificate's derivation is unchecked."""
+    line of a subformula whose own target instantiates an axiom scheme of
+    calc is that one axiom step, with the subformula's true atoms as its
+    hypotheses.  The certificate's derivation is unchecked."""
     if calc not in (CalculusId.ID, CalculusId.P):
         raise TacticError(f"line construction runs in ID or P, not {calc}")
     if not calc.fragment.admits(a):
@@ -233,6 +259,9 @@ def build_line(v: dict, a: Formula, calc: CalculusId) -> LineCertificate:
         return d
 
     def _rec_uncached(f: Formula) -> Derivation:
+        axiom = _as_axiom(calc, gamma_set(v, f), _line_target(v, f))
+        if axiom is not None:
+            return axiom
         if isinstance(f, Atom):
             if v[f.index]:
                 return hypothesis(calc, f)
@@ -257,16 +286,13 @@ def build_line(v: dict, a: Formula, calc: CalculusId) -> LineCertificate:
         return lemma_4_2(v, f.left, f.right, rec(f.right), "right")
 
     raw = rec(a)
-    gamma = gamma_set(v, a)
-    d = Derivation(calc, gamma, raw.steps)  # hypotheses exactly Gamma
-    truth = evaluate(v, a)
-    expected = (pos_encode(delta_set(v, a), a) if truth
-                else neg_encode(delta_set(v, a), a))
+    d = Derivation(calc, gamma_set(v, a), raw.steps)  # hypotheses exactly Gamma
+    expected = _line_target(v, a)
     if d.conclusion != expected:
         raise TacticError(
             f"line construction produced {d.conclusion}, expected {expected}")
     return LineCertificate(a, {atom.index: v[atom.index] for atom in atoms_of(a)},
-                           "positive" if truth else "negative", d)
+                           "positive" if evaluate(v, a) else "negative", d)
 
 
 # derivations are immutable and formulas interned, so per-(calculus,
@@ -285,8 +311,14 @@ def eliminate(a: Formula, calc: CalculusId) -> Derivation:
     true atoms, J the false ones.  With J the node's false atoms, the
     B-true child is discharged by DT to B -> (J)^a, the B-false child
     concludes B v (J)^a (B is R-least in J + B), and the two resolve by
-    the 2.18 schema into (J)^a from the node's true atoms.  The result is
-    unchecked.
+    the 2.18 schema into (J)^a from the node's true atoms.
+
+    Only what the proof cites is built.  The B-true child comes first; if
+    it never cites B (builders prune, so a hypothesis line present is a
+    cited one), it already proves (J)^a from the node's true atoms and is
+    the node's result, with no false subtree, discharge or join.  A node
+    whose goal (J)^a instantiates an axiom scheme of calc is that one
+    axiom step, and is not split.  The result is unchecked.
     """
     ordered = r_sorted(atoms_of(a))
     v: dict = {}
@@ -295,9 +327,18 @@ def eliminate(a: Formula, calc: CalculusId) -> Derivation:
         # ordered[k:] are fixed in v; split on ordered[k - 1]
         if k == 0:
             return build_line(v, a, calc).derivation
+        fixed = ordered[k:]
+        axiom = _as_axiom(calc, [x for x in fixed if v[x.index]],
+                          pos_encode([x for x in fixed if not v[x.index]], a))
+        if axiom is not None:
+            return axiom
         b1 = ordered[k - 1]
         v[b1.index] = True
-        discharged = _deduction_body(node(k - 1), b1)  # b1 -> x
+        d_true = node(k - 1)                            # x from b1
+        if HypStep(b1) not in d_true.steps:
+            del v[b1.index]
+            return Derivation(calc, d_true.hypotheses - {b1}, d_true.steps)
+        discharged = _deduction_body(d_true, b1)        # b1 -> x
         v[b1.index] = False
         d_false = node(k - 1)                           # b1 v x
         del v[b1.index]

@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .formula import (Conj, Disj, Formula, Impl, conj_chain, disj_chain,
-                      subformula_at)
+from .formula import (Atom, Conj, Disj, Formula, Impl, conj_chain,
+                      disj_chain, subformula_at)
 from .kernel import (AxiomStep, CalculusId, CheckError, Derivation, HypStep,
                      MPStep, SchemeId, StepError, hypothesis, instantiate_scheme,
                      verify)
@@ -893,21 +893,29 @@ def lemma(lemma_id: LemmaId, args, target: CalculusId):
     ctor, arity, minimum = _LEMMAS[lemma_id]
     if not target.extends(minimum):
         raise TacticError(f"{target} lacks the schemes needed (requires {minimum})")
-    if lemma_id is LemmaId.L2_16:
-        sources, targets = args
-        args = (list(sources), list(targets))
-        formulas = args[0] + args[1]
-    elif arity is None:
-        formulas = list(args)
+    try:
+        if lemma_id is LemmaId.L2_16:
+            sources, targets = args
+            args = (list(sources), list(targets))
+            formulas = args[0] + args[1]
+        else:
+            formulas = list(args)
+    except (TypeError, ValueError):
+        shape = ("two sequences of formulas, (sources, targets)"
+                 if lemma_id is LemmaId.L2_16 else "a sequence of formulas")
+        raise TacticError(f"{lemma_id.value} takes {shape}") from None
+    if arity is not None:
+        if len(formulas) != arity:
+            raise TacticError(
+                f"{lemma_id.value} takes {arity} formulas, got {len(formulas)}")
+        args = formulas
+    elif lemma_id is not LemmaId.L2_16:
         if len(formulas) < 2:
             raise TacticError(f"{lemma_id.value} needs at least two formulas")
         args = (formulas[:-1], formulas[-1])
-    else:
-        formulas = args = list(args)
-        if len(args) != arity:
-            raise TacticError(
-                f"{lemma_id.value} takes {arity} formulas, got {len(args)}")
     for f in formulas:
+        if not isinstance(f, (Atom, Impl, Disj, Conj)):
+            raise TacticError(f"{lemma_id.value} takes formulas, got {f!r}")
         if not target.fragment.admits(f):
             raise CheckError([StepError(-1, "fragment-violation",
                                         f"{f} outside {target.fragment.name}")])

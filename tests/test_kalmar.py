@@ -6,11 +6,12 @@ import sys
 import pytest
 
 import posprop
+import posprop.kalmar as kalmar
 
 from posprop.formula import (Atom, Disj, Impl, atoms_of, delta_set,
-                             enumerate_formulas, gamma_set, neg_encode, parse,
-                             pos_encode, Fragment)
-from posprop.kernel import CalculusId, check, hypothesis
+                             disj_chain, enumerate_formulas, gamma_set,
+                             neg_encode, parse, pos_encode, Fragment)
+from posprop.kernel import AxiomStep, CalculusId, SchemeId, check, hypothesis
 from posprop.semantics import assignments_over, evaluate, is_tautology
 from posprop.kalmar import (LineCertificate, NotTautology, build_line,
                             derive_from_hypotheses, eliminate, lemma_3_1,
@@ -153,6 +154,32 @@ class TestBuildLine:
                 _cert_ok(build_line(v, f, calc))
                 break  # one assignment per formula here; sweep in acceptance
 
+    @pytest.mark.parametrize("text,v,calc,scheme", [
+        ("p2 -> p1 v p2", {1: True, 2: True}, CalculusId.ID, SchemeId.AX5),
+        # negative encodings: ((p1 -> p1) -> p1) -> p1 and
+        # p1 & (p1 v p2) -> p1 v p2
+        ("(p1 -> p1) -> p1", {1: False}, CalculusId.ID, SchemeId.AX3),
+        ("p1 & (p1 v p2)", {1: False, 2: False}, CalculusId.P, SchemeId.AX8),
+    ])
+    def test_axiom_instance_target_is_one_step(self, text, v, calc, scheme):
+        cert = build_line(v, parse(text), calc)
+        assert cert.derivation.steps == (
+            AxiomStep(scheme, cert.derivation.conclusion),)
+        _cert_ok(cert)
+
+    def test_axiom_instance_subformula_line_is_one_step(self):
+        # the line of p2 -> p1 v p2 is Ax5, lifted once by 3.1's Ax1
+        cert = build_line({1: True, 2: True, 3: True},
+                          parse("p3 -> p2 -> p1 v p2"), CalculusId.ID)
+        assert len(cert.derivation) == 3
+        _cert_ok(cert)
+
+    def test_first_matching_scheme_in_declaration_order(self):
+        # p1 -> p1 v p1 instantiates both Ax4 and Ax5
+        cert = build_line({1: True}, parse("p1 -> p1 v p1"), CalculusId.ID)
+        assert cert.derivation.steps == (
+            AxiomStep(SchemeId.AX4, parse("p1 -> p1 v p1")),)
+
 
 class TestEliminate:
     def test_full_pipeline(self):
@@ -161,6 +188,32 @@ class TestEliminate:
         assert d.conclusion == a
         assert not d.hypotheses
         assert check(d) == []
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_peirce_is_one_ax3_step(self, n):
+        # ((p1 -> p2 v ... v pn) -> p1) -> p1
+        tail = disj_chain([Atom(i) for i in range(2, n + 1)])
+        f = Impl(Impl(Impl(Atom(1), tail), Atom(1)), Atom(1))
+        assert prove(f, CalculusId.ID).steps == (AxiomStep(SchemeId.AX3, f),)
+
+    @pytest.mark.parametrize("text,leaves", [
+        # p1 never cited below p2 = T or p2 = F: one leaf per value of p2
+        ("p1 -> p2 -> p2", 2),
+        ("(p1 -> p2) -> (p2 -> p3) -> p1 -> p3", 4),
+    ])
+    def test_uncited_false_subtrees_are_not_built(self, monkeypatch, text,
+                                                   leaves):
+        calls = []
+
+        def counting(v, a, calc):
+            calls.append(dict(v))
+            return build_line(v, a, calc)
+
+        monkeypatch.setattr(kalmar, "build_line", counting)
+        f = parse(text)
+        d = prove(f, CalculusId.ID)
+        assert d.conclusion == f and not d.hypotheses
+        assert len(calls) == leaves
 
 
 class TestProve:
@@ -227,13 +280,13 @@ for text in sys.argv[2:]:
 """
 
 
-def _proof_texts(atom_order: str, formulas) -> str:
+def _proof_texts(atom_order: str, formulas, hash_seed: str = "random") -> str:
     src = os.path.dirname(os.path.dirname(posprop.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", _PROVE_IN_ATOM_ORDER, atom_order, *formulas],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-        text=True, timeout=300, check=True)
+        env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+        capture_output=True, text=True, timeout=300, check=True)
     return done.stdout
 
 
@@ -244,6 +297,19 @@ def test_proofs_do_not_depend_on_atom_creation_order():
                 "(p1 -> p2 v p3) -> (p4 -> p1) -> p4 -> p3 v p2"]
     assert (_proof_texts("1,2,3,4", formulas)
             == _proof_texts("4,3,2,1", formulas))
+
+
+def test_proofs_do_not_depend_on_hash_seed():
+    # SchemeId members hash by name, so a frozenset of schemes iterates in
+    # an order set by the hash seed: CalculusId.ID.schemes has Ax5 before
+    # Ax4 under seed 0 and after it under seed 1.  Each formula below has
+    # a goal or a line target that instantiates both Ax4 and Ax5.
+    formulas = ["p1 -> p1 v p1",
+                "p2 -> p1 -> p1 v p1",
+                "(p2 -> p2 v p2) v (p2 -> p1)",
+                "p1 v p2 -> (p1 v p2) v (p1 v p2)"]
+    assert (_proof_texts("1,2", formulas, hash_seed="0")
+            == _proof_texts("1,2", formulas, hash_seed="1"))
 
 
 class TestDeriveFromHypotheses:

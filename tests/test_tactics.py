@@ -222,6 +222,16 @@ class TestGoldenLemmas:
         with pytest.raises(TacticError):
             lemma(LemmaId.L2_5, [P1, P2], CalculusId.I)
 
+    @pytest.mark.parametrize("lid,args,calc", [
+        (LemmaId.L2_16, [P1, P2], CalculusId.ID),       # not two sequences
+        (LemmaId.L2_16, [P1, P1, P1], CalculusId.ID),   # three, not two
+        (LemmaId.L2_5, ["p1"], CalculusId.I),           # text, not a formula
+        (LemmaId.L2_5, P1, CalculusId.I),               # not a sequence
+    ], ids=["l2_16-atoms", "l2_16-three", "l2_5-text", "l2_5-bare"])
+    def test_malformed_arguments_are_tactic_errors(self, lid, args, calc):
+        with pytest.raises(TacticError):
+            lemma(lid, args, calc)
+
     def test_degenerate_arguments(self):
         # repeated metavariables must not break the templates
         for lid, args, calc, *_ in GOLDEN_DERIVATIONS:
