@@ -1,8 +1,17 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 logical negative (non-tautology with countermodel,
-proof that fails checking); 2 usage or syntax errors, including input
-nested too deeply to parse.
+Exit codes: 0 success, 1 logical negative, 2 usage or syntax error.
+Commands raise; `main` alone maps each exception to its stream, message
+prefix and code (stderr unless marked):
+
+    NotTautology                          1  stdout "not a tautology: "
+    ParseError                            2  "parse error: "
+    ProofFormatError, UnicodeDecodeError  2  "malformed proof file: "
+    OSError, TacticError, CheckError      2  "error: "
+    RecursionError                        2  "error: input nested too deeply"
+
+`check` of a proof that fails and `translate` of a proof it cannot map
+into I are those commands' own negatives, exit 1.
 """
 
 from __future__ import annotations
@@ -11,8 +20,8 @@ import argparse
 import sys
 from collections import Counter
 
-from .formula import (Fragment, ParseError, enumerate_formulas, fragment_of,
-                       parse, pretty)
+from .formula import (ParseError, enumerate_formulas, fragment_of, parse,
+                      pretty)
 from .kernel import (AxiomStep, CalculusId, CheckError, check, verify)
 from .kalmar import NotTautology, prove
 from .proofio import (ProofFormatError, from_json, read_text, to_json,
@@ -23,42 +32,21 @@ from .transform import (decompose, decompose_to_implicative, gamma, prove_I,
 from .tactics import TacticError
 
 
-def _parse_formula(text: str):
-    try:
-        return parse(text)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        sys.exit(2)
-
-
 def _read_proof(path: str):
     """The derivation in a proof file, text or JSON (a file whose first
-    non-blank character is `{`); exits 2 if it cannot be read."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        if text.lstrip().startswith("{"):
-            return from_json(text)
-        return read_text(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except (ProofFormatError, ParseError, UnicodeDecodeError) as exc:
-        print(f"malformed proof file: {exc}", file=sys.stderr)
-    sys.exit(2)
+    non-blank character is `{`)."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return from_json(text) if text.lstrip().startswith("{") else read_text(text)
 
 
 def _emit(text: str, out) -> None:
-    """Write text to the --out path, or to stdout without one; exits 2 if
-    the file cannot be written."""
+    """Write text to the --out path, or to stdout without one."""
     if not out:
         sys.stdout.write(text)
         return
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _synthesize(f, calculus: CalculusId, route: str):
@@ -74,16 +62,8 @@ def _synthesize(f, calculus: CalculusId, route: str):
 
 
 def _cmd_prove(args) -> int:
-    f = _parse_formula(args.formula)
     calculus = CalculusId[args.calculus]
-    try:
-        d = _synthesize(f, calculus, args.route)
-    except NotTautology as exc:
-        print(f"not a tautology: {format_assignment(exc.countermodel)}")
-        return 1
-    except TacticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    d = _synthesize(parse(args.formula), calculus, args.route)
     _emit(write_text(d) if args.format == "text" else to_json(d), args.out)
     print(f"proved {pretty(d.conclusion)} in {calculus} ({len(d)} steps)",
           file=sys.stderr)
@@ -94,8 +74,7 @@ def _cmd_check(args) -> int:
     d = _read_proof(args.path)
     errors = check(d)
     if errors:
-        for e in errors:
-            print(str(e))
+        print(*errors, sep="\n")
         return 1
     hyps = ", ".join(pretty(h) for h in sorted(d.hypotheses, key=str)) or "(none)"
     print(f"ok: {len(d)} steps in {d.calculus}; hypotheses: {hyps}; "
@@ -104,13 +83,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_tautology(args) -> int:
-    f = _parse_formula(args.formula)
-    countermodel = find_countermodel(f)
-    if countermodel is None:
-        print("tautology")
-        return 0
-    print(f"not a tautology: {format_assignment(countermodel)}")
-    return 1
+    countermodel = find_countermodel(parse(args.formula))
+    if countermodel is not None:
+        raise NotTautology(countermodel)
+    print("tautology")
+    return 0
 
 
 def _cmd_translate(args) -> int:
@@ -126,31 +103,23 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    f = _parse_formula(args.formula)
-    if args.mode == "gamma":
-        g = gamma(f)
-        print(pretty(g.formula))
-        for rule, path in g.trace:
-            loc = ".".join(path) or "(root)"
-            print(f"  rule {rule} at {loc}")
+    f = parse(args.formula)
+    if args.mode == "tau":
+        print(pretty(tau(f)))
         return 0
-    if not Fragment.IMPLICATIVE_DISJUNCTIVE.admits(f):
-        print("error: tau applies to the ->/v fragment only", file=sys.stderr)
-        return 2
-    print(pretty(tau(f)))
+    g = gamma(f)
+    print(pretty(g.formula))
+    for rule, path in g.trace:
+        print(f"  rule {rule} at {'.'.join(path) or '(root)'}")
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    f = _parse_formula(args.formula)
-    try:
-        dec = (decompose_to_implicative(f) if args.mode == "implicative"
-               else decompose(f))
-        verify(dec.equivalence.forward)
-        verify(dec.equivalence.backward)
-    except (TacticError, CheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    f = parse(args.formula)
+    dec = (decompose_to_implicative(f) if args.mode == "implicative"
+           else decompose(f))
+    verify(dec.equivalence.forward)
+    verify(dec.equivalence.backward)
     for conjunct in dec.conjuncts:
         print(pretty(conjunct))
     print(f"equivalence checked: {len(dec.equivalence.forward)} + "
@@ -255,9 +224,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NotTautology as exc:
+        print(f"not a tautology: {format_assignment(exc.countermodel)}")
+        return 1
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+    except (ProofFormatError, UnicodeDecodeError) as exc:
+        print(f"malformed proof file: {exc}", file=sys.stderr)
+    except (OSError, TacticError, CheckError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

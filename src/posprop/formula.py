@@ -15,6 +15,7 @@ The tokenizer, the parser and the printer read ``symbol`` and
 from __future__ import annotations
 
 import re
+import sys
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator, Mapping
@@ -54,10 +55,11 @@ class Atom(Formula):
     __slots__ = ("index", "size", "mask")
 
     def __new__(cls, index: int):
+        # type(), not isinstance(): True == 1 would find p1 in the table
+        if type(index) is not int or index < 1:
+            raise ValueError(f"atom index must be a positive integer, got {index!r}")
         cached = _ATOM_INTERN.get(index)
         if cached is None:
-            if not (isinstance(index, int) and index >= 1):
-                raise ValueError(f"atom index must be a positive integer, got {index!r}")
             cached = object.__new__(cls)
             object.__setattr__(cached, "index", index)
             object.__setattr__(cached, "size", 1)
@@ -183,7 +185,14 @@ def parse(text: str) -> Formula:
             if idx == end or tokens[idx][0] != ")":
                 fail("')'")
         elif tok[:1] == "p":
-            lhs = Atom(int(tok[1:]))
+            try:
+                index = int(tok[1:])
+            except ValueError:  # more digits than int() converts
+                raise ParseError(
+                    tokens[idx][1], "an atom index of at most "
+                    f"{sys.get_int_max_str_digits()} digits",
+                    f"{len(tok) - 1} digits") from None
+            lhs = Atom(index)
         else:
             fail("an atom or '('")
         idx += 1  # past the atom or the ')'

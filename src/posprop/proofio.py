@@ -7,6 +7,11 @@
     3. mp 1 2 p2 -> p1
 
 Step numbers are 1-based.  `mp i j` cites the implication (major) first.
+Both formats spell a step as the same record: its kind, its operands, then
+its formula (`axiom Ax1 F`, `hyp F`, `mp i j F`).  A JSON step is that
+record as an object whose keys are the kind's field names in `_FIELDS`.
+Every fault in a file, an unparsable formula or an over-long number
+included, is a ProofFormatError.
 Serialization is canonical: hypotheses sorted by R, formulas printed with
 minimal parentheses, so write(read(text)) == text for emitted files.
 """
@@ -25,113 +30,109 @@ class ProofFormatError(ValueError):
     pass
 
 
-_SCHEMES = {s.value: s for s in SchemeId}
+_FIELDS = {"axiom": ("kind", "scheme", "formula"), "hyp": ("kind", "formula"),
+           "mp": ("kind", "major", "minor", "formula")}
 
-_STEP_RE = re.compile(
-    r"(\d+)\. (?:axiom (Ax[1-9]) (.+)|hyp (.+)|mp (\d+) (\d+) (.+))$")
+_STEP_RE = re.compile(r"(\d+)\. (axiom|hyp|mp) (.+)$")
+
+
+def _record(step) -> tuple:
+    """A step as its record: kind, operands (1-based step numbers), formula."""
+    if isinstance(step, MPStep):
+        return "mp", step.major + 1, step.minor + 1, pretty(step.formula)
+    if isinstance(step, AxiomStep):
+        return "axiom", str(step.scheme), pretty(step.formula)
+    if isinstance(step, HypStep):
+        return "hyp", pretty(step.formula)
+    raise ProofFormatError(f"unknown step {step!r}")
+
+
+def _step(record: tuple):
+    """The step a record spells; `_assemble` reports a bad field."""
+    kind, formula = record[0], parse(record[-1])
+    if kind == "hyp":
+        return HypStep(formula)
+    if kind == "axiom":
+        return AxiomStep(SchemeId(record[1]), formula)
+    major, minor = record[1], record[2]
+    if type(major) is not int or type(minor) is not int:
+        raise ProofFormatError(f"non-integer step number in {record}")
+    return MPStep(major - 1, minor - 1, formula)
+
+
+def _assemble(fields, text: str) -> Derivation:
+    """The derivation whose calculus name, hypothesis formulas and step
+    records are `fields(text)`; every fault in them is a ProofFormatError."""
+    try:
+        name, hypotheses, records = fields(text)
+        calculus = CalculusId.__members__.get(name)
+        if calculus is None:
+            raise ProofFormatError(f"unknown calculus {name!r}")
+        return Derivation(calculus, frozenset(map(parse, hypotheses)),
+                          tuple(map(_step, records)))
+    except ValueError as exc:  # also a ProofFormatError raised above
+        raise ProofFormatError(str(exc)) from exc
+    except (KeyError, TypeError) as exc:
+        raise ProofFormatError(f"malformed proof document: {exc}") from exc
+
+
+def _fields(d: Derivation) -> tuple:
+    """The calculus name, hypotheses (sorted by R) and step records."""
+    return (str(d.calculus),
+            [pretty(h) for h in sorted(d.hypotheses, key=r_key)],
+            [_record(step) for step in d.steps])
 
 
 def write_text(d: Derivation) -> str:
-    lines = [f"calculus: {d.calculus}"]
-    for h in sorted(d.hypotheses, key=r_key):
-        lines.append(f"hyp: {pretty(h)}")
-    for n, step in enumerate(d.steps, start=1):
-        if isinstance(step, AxiomStep):
-            lines.append(f"{n}. axiom {step.scheme} {pretty(step.formula)}")
-        elif isinstance(step, HypStep):
-            lines.append(f"{n}. hyp {pretty(step.formula)}")
-        elif isinstance(step, MPStep):
-            lines.append(f"{n}. mp {step.major + 1} {step.minor + 1} {pretty(step.formula)}")
-        else:
-            raise ProofFormatError(f"unknown step {step!r}")
+    calculus, hypotheses, records = _fields(d)
+    lines = [f"calculus: {calculus}", *(f"hyp: {h}" for h in hypotheses)]
+    for n, record in enumerate(records, start=1):
+        lines.append(f"{n}. " + " ".join(map(str, record)))
     return "\n".join(lines) + "\n"
 
 
-def read_text(text: str) -> Derivation:
+def _text_fields(text: str) -> tuple:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("calculus: "):
         raise ProofFormatError("missing 'calculus:' header")
-    name = lines[0][len("calculus: "):].strip()
-    try:
-        calculus = CalculusId[name]
-    except KeyError:
-        raise ProofFormatError(f"unknown calculus {name!r}") from None
-
-    hyps = []
     idx = 1
     while idx < len(lines) and lines[idx].startswith("hyp: "):
-        hyps.append(parse(lines[idx][len("hyp: "):]))
         idx += 1
-
-    steps = []
+    records = []
     for ln in lines[idx:]:
         m = _STEP_RE.match(ln.strip())
-        if m is None:
+        arity = len(_FIELDS[m[2]]) - 1 if m else 0  # operands and formula
+        parts = m[3].split(" ", arity - 1) if m else []
+        if len(parts) != arity:
             raise ProofFormatError(f"malformed step line: {ln!r}")
-        number = int(m.group(1))
-        if number != len(steps) + 1:
-            raise ProofFormatError(f"step numbered {number}, expected {len(steps) + 1}")
-        if m.group(2):
-            steps.append(AxiomStep(_SCHEMES[m.group(2)], parse(m.group(3))))
-        elif m.group(4):
-            steps.append(HypStep(parse(m.group(4))))
-        else:
-            steps.append(MPStep(int(m.group(5)) - 1, int(m.group(6)) - 1,
-                                parse(m.group(7))))
-    if not steps:
-        raise ProofFormatError("no steps")
-    return Derivation(calculus, frozenset(hyps), tuple(steps))
+        if int(m[1]) != len(records) + 1:
+            raise ProofFormatError(
+                f"step numbered {int(m[1])}, expected {len(records) + 1}")
+        records.append((m[2], *[int(v) if v.isdecimal() else v
+                                for v in parts[:-1]], parts[-1]))
+    return (lines[0][len("calculus: "):].strip(),
+            [ln[len("hyp: "):] for ln in lines[1:idx]], records)
+
+
+def read_text(text: str) -> Derivation:
+    return _assemble(_text_fields, text)
 
 
 def to_json(d: Derivation) -> str:
-    doc = {
-        "calculus": str(d.calculus),
-        "hypotheses": [pretty(h) for h in sorted(d.hypotheses, key=r_key)],
-        "steps": [],
-    }
-    for step in d.steps:
-        if isinstance(step, AxiomStep):
-            doc["steps"].append({"kind": "axiom", "scheme": str(step.scheme),
-                                 "formula": pretty(step.formula)})
-        elif isinstance(step, HypStep):
-            doc["steps"].append({"kind": "hyp", "formula": pretty(step.formula)})
-        else:
-            doc["steps"].append({"kind": "mp", "major": step.major + 1,
-                                 "minor": step.minor + 1,
-                                 "formula": pretty(step.formula)})
-    return json.dumps(doc, indent=2) + "\n"
+    calculus, hypotheses, records = _fields(d)
+    steps = [dict(zip(_FIELDS[r[0]], r)) for r in records]
+    return json.dumps({"calculus": calculus, "hypotheses": hypotheses,
+                       "steps": steps}, indent=2) + "\n"
 
 
-def _step_index(n) -> int:
-    """A JSON step number (1-based, a plain integer) as a step index."""
-    if type(n) is not int:
-        raise ProofFormatError(f"step number {n!r} is not an integer")
-    return n - 1
+def _json_fields(text: str) -> tuple:
+    doc = json.loads(text)
+    if type(doc["hypotheses"]) is not list or type(doc["steps"]) is not list:
+        raise ProofFormatError("hypotheses and steps must be lists")
+    return doc["calculus"], doc["hypotheses"], [
+        tuple(map(step.__getitem__, _FIELDS[step["kind"]]))
+        for step in doc["steps"]]
 
 
 def from_json(text: str) -> Derivation:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProofFormatError(f"not a JSON document: {exc}") from exc
-    try:
-        calculus = CalculusId[doc["calculus"]]
-        if type(doc["hypotheses"]) is not list or type(doc["steps"]) is not list:
-            raise ProofFormatError("hypotheses and steps must be lists")
-        hyps = frozenset(parse(h) for h in doc["hypotheses"])
-        steps = []
-        for s in doc["steps"]:
-            if s["kind"] == "axiom":
-                steps.append(AxiomStep(_SCHEMES[s["scheme"]], parse(s["formula"])))
-            elif s["kind"] == "hyp":
-                steps.append(HypStep(parse(s["formula"])))
-            elif s["kind"] == "mp":
-                steps.append(MPStep(_step_index(s["major"]), _step_index(s["minor"]),
-                                    parse(s["formula"])))
-            else:
-                raise ProofFormatError(f"unknown step kind {s['kind']!r}")
-    except (KeyError, TypeError) as exc:
-        raise ProofFormatError(f"malformed proof document: {exc}") from exc
-    if not steps:
-        raise ProofFormatError("no steps")
-    return Derivation(calculus, hyps, tuple(steps))
+    return _assemble(_json_fields, text)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -147,6 +148,28 @@ def test_deep_nesting_exits_2(capsys, tmp_path, command):
     assert code == 2 and err == "error: input nested too deeply\n"
 
 
+_LONG = "9" * (sys.get_int_max_str_digits() + 1)   # more than int() converts
+
+
+@pytest.mark.parametrize("command, text, prefix", [
+    ("tautology", f"p{_LONG}", "parse error:"),
+    ("check", f"calculus: I\n{_LONG}. hyp p1\n", "malformed proof file:"),
+    ("check", f"calculus: I\nhyp: p1\n1. hyp p1\n2. mp {_LONG} 1 p1\n",
+     "malformed proof file:"),
+    ("check", f'{{"calculus": "I", "hypotheses": [], "steps": [{{"kind": "mp", '
+              f'"major": {_LONG}, "minor": 1, "formula": "p1"}}]}}',
+     "malformed proof file:"),
+], ids=["atom", "step-number", "mp-index", "json-integer"])
+def test_oversized_integer_exits_2(capsys, tmp_path, command, text, prefix):
+    arg = text
+    if command == "check":
+        path = tmp_path / "long.txt"
+        path.write_text(text)
+        arg = str(path)
+    code, _, err = run(capsys, command, arg)
+    assert code == 2 and err.startswith(prefix)
+
+
 class TestTautology:
     def test_yes(self, capsys):
         code, out, _ = run(capsys, "tautology", "p1 -> p2 -> p1")
@@ -178,6 +201,12 @@ class TestTranslate:
         run(capsys, "prove", "p1 & p2 -> p1", "-c", "P", "-o", str(src))
         code, _, err = run(capsys, "translate", str(src))
         assert code == 1
+
+    def test_rejects_open_proof(self, capsys, tmp_path):
+        src = tmp_path / "open.txt"
+        src.write_text("calculus: ID\nhyp: p1\n1. hyp p1\n")
+        code, _, err = run(capsys, "translate", str(src))
+        assert code == 1 and err.startswith("error:")
 
 
 class TestNormalize:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,10 +48,14 @@ class TestParse:
         ("", 0, _ATOM), ("p0", 0, _TOKEN), ("q1", 0, _TOKEN),
         ("p1 ->", 5, _ATOM), ("(p1", 3, "')'"), ("p1)", 2, "end of input"),
         ("p1 p2", 3, "end of input"), ("-> p1", 0, _ATOM), ("p1 v v p2", 5, _ATOM),
-        ("p1 -> )", 6, _ATOM), ("p1 -> p2 x", 9, _TOKEN)]
+        ("p1 -> )", 6, _ATOM), ("p1 -> p2 x", 9, _TOKEN),
+        # one digit more than int() converts
+        ("p" + "9" * (sys.get_int_max_str_digits() + 1), 0,
+         f"an atom index of at most {sys.get_int_max_str_digits()} digits")]
 
     @pytest.mark.parametrize("bad, position, expected", _REJECTS,
-                             ids=[bad for bad, _, _ in _REJECTS])
+                             ids=[bad if len(bad) < 20 else "oversized-atom"
+                                  for bad, _, _ in _REJECTS])
     def test_rejects(self, bad, position, expected):
         with pytest.raises(ParseError) as exc:
             parse(bad)
@@ -83,6 +89,8 @@ class TestInterning:
             Atom(0)
         with pytest.raises(ValueError):
             Atom("1")
+        with pytest.raises(ValueError):
+            Atom(True)      # an int, and == 1, but not an atom index
 
 
 class TestFragments:

@@ -292,6 +292,7 @@ class TestProofIO:
         lambda t: t.replace("mp 1 2", "mp one 2"),
         lambda t: "\n".join(t.splitlines()[1:]),   # drop the header
         lambda t: t.splitlines()[0] + "\n",        # no steps
+        lambda t: t.replace("1. hyp p1 -> p2", "1. hyp p1 ->"),  # bad formula
     ])
     def test_malformed_rejected(self, mangle):
         with pytest.raises(ProofFormatError):
@@ -310,7 +311,10 @@ class TestProofIO:
         lambda doc: doc["steps"][2].update(minor=True),
         lambda doc: doc.update(hypotheses="p1"),
         lambda doc: doc.update(steps={"1": doc["steps"][0]}),
-    ], ids=["float-index", "bool-index", "string-hypotheses", "object-steps"])
+        lambda doc: doc["steps"][3].update(scheme="Ax0"),
+        lambda doc: doc["steps"][0].update(formula="p1 ->"),
+    ], ids=["float-index", "bool-index", "string-hypotheses", "object-steps",
+            "unknown-scheme", "unparsable-formula"])
     def test_ill_typed_json_rejected(self, mangle):
         doc = json.loads(to_json(self.sample()))
         mangle(doc)
