@@ -60,6 +60,12 @@ class Atom(Formula):
             raise ValueError(f"atom index must be a positive integer, got {index!r}")
         cached = _ATOM_INTERN.get(index)
         if cached is None:
+            try:
+                str(index)  # pretty prints it, so it must fit int -> str
+            except ValueError:
+                raise ValueError(
+                    "atom index must have at most "
+                    f"{sys.get_int_max_str_digits()} digits") from None
             cached = object.__new__(cls)
             object.__setattr__(cached, "index", index)
             object.__setattr__(cached, "size", 1)

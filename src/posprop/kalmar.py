@@ -4,11 +4,12 @@ For a fixed assignment each subformula gets a "line": from the true atoms,
 derive the formula's positive encoding (when true) or negative encoding
 (when false) over the false atoms.  Lines are built by structural
 recursion (the lemma_3_* / lemma_4_* constructors below, which share four
-encoding moves: _widen, _weaken, _or_chain and _close).  eliminate
-then merges them down a decision tree that splits on the atoms, greatest
-first in the order R: each inner node discharges its atom from the true
-child by the deduction theorem and joins the false child by case
-analysis, so the atoms are eliminated least first in the order R.
+encoding moves, _widen, _weaken, _or_chain and _close, each a call of the
+tactics router _route).  eliminate then merges them down a decision tree
+that splits on the atoms, greatest first in the order R: each inner node
+discharges its atom from the true child by the deduction theorem and
+joins the false child by case analysis, so the atoms are eliminated least
+first in the order R.
 
 Both levels build only what the proof cites.  A node whose true child
 never cites the split atom returns that child and builds no false
@@ -34,8 +35,8 @@ from .kernel import (AxiomStep, CalculusId, Derivation, HypStep, SchemeId,
                      _is_instance, hypothesis, prune, verify)
 from .semantics import evaluate, find_countermodel
 from .tactics import (ProofBuilder, TacticError, _compose, _conj_intro,
-                      _deduction_body, _elim, _inject, deduction, l2_5, l2_13,
-                      l2_17, l2_18, l2_25)
+                      _deduction_body, _into, _reroute, _route, deduction, l2_5,
+                      l2_13, l2_17, l2_18, l2_25)
 
 
 class NotTautology(ValueError):
@@ -73,60 +74,39 @@ def _line_target(v: dict, f: Formula) -> Formula:
     return pos_encode(delta, f) if evaluate(v, f) else neg_encode(delta, f)
 
 
-def _chain_into(b: ProofBuilder, atom_set, target: Formula) -> dict:
-    """Lines e -> target for each atom in atom_set (all must be disjuncts
-    of target), added in the order R so that the proof does not depend on
-    set iteration order."""
-    return {atom: _inject(b, atom, target) for atom in r_sorted(atom_set)}
-
-
-def _premise_to(b: ProofBuilder, premise_index: int, leaves: dict) -> int:
-    """MP the included premise line through an Ax6 case split given
-    per-disjunct implications into a common target."""
-    tree = b.formula_at(premise_index)
-    imp = _elim(b, tree, leaves)
-    return b.mp(imp, premise_index)
-
-
 def _widen(b: ProofBuilder, v: dict, premise: int, part: Formula, intro: int,
            whole: Formula) -> int:
     """From the line (Delta[v;part])^part and an intro line part -> whole,
     the line (Delta[v;whole])^whole."""
     target = pos_encode(delta_set(v, whole), whole)
-    leaves = _chain_into(b, delta_set(v, part), target)
-    leaves[part] = _compose(b, intro, _inject(b, whole, target))
-    return _premise_to(b, premise, leaves)
+    return _reroute(b, premise, target, {part: _into(b, intro, target)})
 
 
-def _weaken(b: ProofBuilder, v: dict, d: Derivation, part: Formula,
-            c_chain: Formula) -> int:
-    """From d, concluding part -> (its false atoms), spliced after the
-    chain lines, the line part -> c_chain, c_chain over a superset."""
-    atoms = r_sorted(delta_set(v, part))
-    mid = _elim(b, disj_chain(atoms), _chain_into(b, atoms, c_chain))
-    return _compose(b, b.include(d), mid)
+def _weaken(b: ProofBuilder, d: Derivation, c_chain: Formula) -> int:
+    """From d, concluding part -> chain of its false atoms, the line
+    part -> c_chain, c_chain over a superset of those atoms."""
+    chain = d.conclusion.right
+    # the routing lines come before d is spliced, so that an identity
+    # chain -> chain inside d dedups onto the router's Ax6 line
+    mid = _route(b, chain, c_chain, {})
+    line = b.include(d)
+    return line if chain == c_chain else _compose(b, line, mid)
 
 
-def _or_chain(b: ProofBuilder, v: dict, d: Derivation, part: Formula,
+def _or_chain(b: ProofBuilder, d: Derivation, part: Formula,
               c_chain: Formula) -> int:
-    """From d, concluding (Delta[v;part])^part, spliced after the chain
-    lines, the line c_chain v part, c_chain over a superset of Delta."""
-    into_chain = _chain_into(b, delta_set(v, part), c_chain)
-    ax4 = b.axiom(SchemeId.AX4, A=c_chain, B=part)
-    leaves = {atom: _compose(b, idx, ax4) for atom, idx in into_chain.items()}
-    leaves[part] = b.axiom(SchemeId.AX5, A=part, B=c_chain)
-    return _premise_to(b, b.include(d), leaves)
+    """From d, concluding (Delta[v;part])^part, the line c_chain v part,
+    c_chain over a superset of Delta."""
+    # before the splice, as in _weaken; when d already concludes
+    # c_chain v part, the MP dedups onto d's line
+    imp = _route(b, d.conclusion, Disj(c_chain, part), {})
+    return b.mp(imp, b.include(d))
 
 
 def _close(b: ProofBuilder, v: dict, premise: int, whole: Formula) -> int:
     """From the line c_chain v whole, c_chain the chain of the false atoms
     of whole, the line (Delta[v;whole])^whole."""
-    delta = delta_set(v, whole)
-    target = pos_encode(delta, whole)
-    c_chain = disj_chain(r_sorted(delta))
-    leaves = {c_chain: _elim(b, c_chain, _chain_into(b, delta, target)),
-              whole: _inject(b, whole, target)}
-    return _premise_to(b, premise, leaves)
+    return _reroute(b, premise, pos_encode(delta_set(v, whole), whole))
 
 
 def lemma_3_1(v: dict, a: Formula, bf: Formula, db: Derivation) -> Derivation:
@@ -147,7 +127,7 @@ def lemma_3_2(v: dict, a: Formula, bf: Formula, da: Derivation) -> Derivation:
     imp = Impl(a, bf)
     c_chain = disj_chain(r_sorted(delta_set(v, imp)))
     b = ProofBuilder(da.calculus)
-    a_c = _weaken(b, v, da, a, c_chain)            # a -> c_chain
+    a_c = _weaken(b, da, c_chain)                  # a -> c_chain
     split = b.include(l2_13(a, c_chain, bf, da.calculus),
                       hyp_map={Impl(a, c_chain): a_c})  # c_chain v (a -> b)
     return b.build(conclusion=_close(b, v, split, imp),
@@ -161,8 +141,8 @@ def lemma_3_3(v: dict, a: Formula, bf: Formula, da: Derivation,
         raise TacticError("3.3 needs the consequent false")
     c_chain = disj_chain(r_sorted(delta_set(v, Impl(a, bf))))
     b = ProofBuilder(da.calculus)
-    cva = _or_chain(b, v, da, a, c_chain)          # c_chain v a
-    b_c = _weaken(b, v, db, bf, c_chain)           # b -> c_chain
+    cva = _or_chain(b, da, a, c_chain)             # c_chain v a
+    b_c = _weaken(b, db, c_chain)                  # b -> c_chain
     out = b.include(l2_17(c_chain, a, bf, da.calculus),
                     hyp_map={Disj(c_chain, a): cva, Impl(bf, c_chain): b_c})
     return b.build(conclusion=out, hypotheses=da.hypotheses | db.hypotheses)
@@ -189,9 +169,8 @@ def lemma_3_5(v: dict, a: Formula, bf: Formula, da: Derivation,
         raise TacticError("3.5 needs both disjuncts false")
     c_chain = disj_chain(r_sorted(delta_set(v, Disj(a, bf))))
     b = ProofBuilder(da.calculus)
-    ax6 = b.axiom(SchemeId.AX6, A=a, B=bf, C=c_chain)
-    out = b.mp(b.mp(ax6, _weaken(b, v, da, a, c_chain)),
-               _weaken(b, v, db, bf, c_chain))
+    leaves = {a: _weaken(b, da, c_chain), bf: _weaken(b, db, c_chain)}
+    out = _route(b, Disj(a, bf), c_chain, leaves)
     return b.build(conclusion=out, hypotheses=da.hypotheses | db.hypotheses)
 
 
@@ -207,7 +186,7 @@ def lemma_4_1(v: dict, a: Formula, bf: Formula, da: Derivation,
         out = _conj_intro(b, b.include(da), b.include(db))
         return b.build(conclusion=out, hypotheses=da.hypotheses | db.hypotheses)
     c_chain = disj_chain(r_sorted(delta))
-    cva, cvb = _or_chain(b, v, da, a, c_chain), _or_chain(b, v, db, bf, c_chain)
+    cva, cvb = _or_chain(b, da, a, c_chain), _or_chain(b, db, bf, c_chain)
     packed = _conj_intro(b, cva, cvb)
     # l2_25's backward half as a thesis: spliced by hyp_map, its lines merge
     # with cva/cvb into a redundant case split when a is a true atom
@@ -227,7 +206,7 @@ def lemma_4_2(v: dict, a: Formula, bf: Formula, d: Derivation,
         raise TacticError("4.2 needs the certified conjunct false")
     c_chain = disj_chain(r_sorted(delta_set(v, Conj(a, bf))))
     b = ProofBuilder(d.calculus)
-    x_c = _weaken(b, v, d, false_part, c_chain)     # X -> c_chain
+    x_c = _weaken(b, d, c_chain)                    # X -> c_chain
     proj = b.axiom(scheme, A=a, B=bf)               # A & B -> X
     return b.build(conclusion=_compose(b, proj, x_c), hypotheses=d.hypotheses)
 

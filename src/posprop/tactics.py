@@ -16,9 +16,11 @@ The central tool is ProofBuilder, which accumulates steps, deduplicates
 lines by formula (a sound peephole: an identical earlier line under the
 same hypotheses proves the same thing), splices existing derivations with
 index re-offsetting, and drops the steps a conclusion does not cite when
-it freezes a derivation.  Three moves on its lines are written once and
+it freezes a derivation.  Four moves on its lines are written once and
 used by every builder: _cases (Ax6 case analysis), _conj_intro (Ax9
-introduction) and _conj_elim (Ax7/Ax8 elimination).  The biconditional
+introduction), _conj_elim (Ax7/Ax8 elimination) and _route, which
+carries one disjunction tree into another by Ax4/Ax5 injections and Ax6
+splits (_reroute and _into apply it to a line).  The biconditional
 helpers of Lemma 2.20 are conjoin and split_conjunction of an
 equivalence pair's two thesis halves.
 """
@@ -201,19 +203,55 @@ def _occurs_as_disjunct(e: Formula, tree: Formula) -> bool:
 
 def _inject(b: ProofBuilder, e: Formula, target: Formula) -> int:
     """Line proving e -> target, where e occurs as a disjunct of target
-    (leftmost occurrence; Ax4/Ax5 chains)."""
+    (leftmost occurrence): the Ax4/Ax5 step that puts e beside its
+    sibling, composed with each step out to target."""
     if target == e:
         return _identity(b, e)
     if isinstance(target, Disj):
-        if _occurs_as_disjunct(e, target.left):
-            sub = _inject(b, e, target.left)
-            step = b.axiom(SchemeId.AX4, A=target.left, B=target.right)
-            return _compose(b, sub, step)
-        if _occurs_as_disjunct(e, target.right):
-            sub = _inject(b, e, target.right)
-            step = b.axiom(SchemeId.AX5, A=target.right, B=target.left)
-            return _compose(b, sub, step)
+        for side, other, scheme in ((target.left, target.right, SchemeId.AX4),
+                                    (target.right, target.left, SchemeId.AX5)):
+            if _occurs_as_disjunct(e, side):
+                if side == e:
+                    return b.axiom(scheme, A=e, B=other)
+                sub = _inject(b, e, side)
+                return _compose(b, sub, b.axiom(scheme, A=side, B=other))
     raise TacticError(f"{e} does not occur as a disjunct of {target}")
+
+
+def _route(b: ProofBuilder, tree: Formula, target: Formula, leaves: dict) -> int:
+    """Line proving tree -> target, the one routing move between
+    disjunction trees.  A subtree that is a key of leaves uses that line
+    (a line proving subtree -> target); a disjunction that is target
+    itself, or does not occur as a disjunct of it, splits by Ax6; anything
+    else is injected along its Ax4/Ax5 path."""
+    if tree in leaves:
+        return leaves[tree]
+    if isinstance(tree, Disj) and (tree == target
+                                   or not _occurs_as_disjunct(tree, target)):
+        left = _route(b, tree.left, target, leaves)
+        right = _route(b, tree.right, target, leaves)
+        ax6 = b.axiom(SchemeId.AX6, A=tree.left, B=tree.right, C=target)
+        return b.mp(b.mp(ax6, left), right)
+    return _inject(b, tree, target)
+
+
+def _reroute(b: ProofBuilder, premise: int, target: Formula,
+             leaves: dict = None) -> int:
+    """From the line premise, a disjunction tree, the line target (by
+    _route and MP); the premise itself when it already is target."""
+    tree = b.formula_at(premise)
+    if tree == target:
+        return premise
+    return b.mp(_route(b, tree, target, leaves or {}), premise)
+
+
+def _into(b: ProofBuilder, line: int, target: Formula) -> int:
+    """From the line x -> y, the line x -> target (y routed into target);
+    the line itself when y already is target."""
+    y = b.formula_at(line).right
+    if y == target:
+        return line
+    return _compose(b, line, _route(b, y, target, {}))
 
 
 def _cases(b: ProofBuilder, first: int, second: int, disj: int) -> int:
@@ -233,20 +271,6 @@ def _conj_elim(b: ProofBuilder, conj: int, scheme: SchemeId) -> int:
     """From line x & y, derive x (Ax7) or y (Ax8)."""
     f = b.formula_at(conj)
     return b.mp(b.axiom(scheme, A=f.left, B=f.right), conj)
-
-
-def _elim(b: ProofBuilder, tree: Formula, leaves: dict) -> int:
-    """Line proving tree -> T, given leaves mapping each designated
-    disjunct e to a line proving e -> T (Ax6 recursion)."""
-    if tree in leaves:
-        return leaves[tree]
-    if not isinstance(tree, Disj):
-        raise TacticError(f"no implication available for disjunct {tree}")
-    left = _elim(b, tree.left, leaves)
-    right = _elim(b, tree.right, leaves)
-    target = b.formula_at(left).right
-    ax6 = b.axiom(SchemeId.AX6, A=tree.left, B=tree.right, C=target)
-    return b.mp(b.mp(ax6, left), right)
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +515,8 @@ def l2_12(a, bf, c, df, calculus=CalculusId.ID) -> Derivation:
     h_or = b.hyp(Disj(a, bf))
     h_ac = b.hyp(Impl(a, c))
     h_bd = b.hyp(Impl(bf, df))
-    a_t = _compose(b, h_ac, b.axiom(SchemeId.AX4, A=c, B=df))
-    b_t = _compose(b, h_bd, b.axiom(SchemeId.AX5, A=df, B=c))
-    return b.build(conclusion=_cases(b, a_t, b_t, h_or))
+    leaves = {a: _into(b, h_ac, target), bf: _into(b, h_bd, target)}
+    return b.build(conclusion=_reroute(b, h_or, target, leaves))
 
 
 def l2_13(a, bf, c, calculus=CalculusId.ID) -> Derivation:
@@ -501,9 +524,7 @@ def l2_13(a, bf, c, calculus=CalculusId.ID) -> Derivation:
     b = ProofBuilder(calculus)
     h = b.hyp(Impl(a, bf))
     excl = b.include(l2_11(a, c, calculus))           # a v (a -> c)
-    a_x = _compose(b, h, b.axiom(SchemeId.AX4, A=bf, B=Impl(a, c)))
-    ac_x = b.axiom(SchemeId.AX5, A=Impl(a, c), B=bf)
-    return b.build(conclusion=_cases(b, a_x, ac_x, excl))
+    return b.build(conclusion=_reroute(b, excl, x, {a: _into(b, h, x)}))
 
 
 def l2_14(a, bf, c, calculus=CalculusId.ID) -> Derivation:
@@ -519,28 +540,15 @@ def l2_15(a_list, bf, calculus=CalculusId.ID) -> EquivalencePair:
     a_list = list(a_list)
     if not a_list:
         raise TacticError("2.15 needs at least one leading disjunct")
-    head = disj_chain(a_list)
-    left = Disj(head, bf)
+    left = Disj(disj_chain(a_list), bf)
     right = disj_chain(a_list + [bf])
-    if left == right:  # n = 1
-        return reflexive_pair(left, calculus)
 
-    fwd = ProofBuilder(calculus)
-    leaves = {e: _inject(fwd, e, right) for e in a_list}
-    head_imp = _elim(fwd, head, leaves)
-    b_imp = _inject(fwd, bf, right)
-    ax6 = fwd.axiom(SchemeId.AX6, A=head, B=bf, C=right)
-    out = fwd.mp(fwd.mp(fwd.mp(ax6, head_imp), b_imp), fwd.hyp(left))
-    forward = fwd.build(conclusion=out, hypotheses={left})
+    def one_way(src: Formula, dst: Formula) -> Derivation:
+        b = ProofBuilder(calculus)
+        return b.build(conclusion=_reroute(b, b.hyp(src), dst),
+                       hypotheses={src})
 
-    bwd = ProofBuilder(calculus)
-    into_head = {e: _inject(bwd, e, head) for e in a_list}
-    ax4 = bwd.axiom(SchemeId.AX4, A=head, B=bf)
-    leaves2 = {e: _compose(bwd, idx, ax4) for e, idx in into_head.items()}
-    leaves2[bf] = bwd.axiom(SchemeId.AX5, A=bf, B=head)
-    out2 = bwd.mp(_elim(bwd, right, leaves2), bwd.hyp(right))
-    backward = bwd.build(conclusion=out2, hypotheses={right})
-    return EquivalencePair(forward, backward)
+    return EquivalencePair(one_way(left, right), one_way(right, left))
 
 
 def l2_16(sources, targets, calculus=CalculusId.ID) -> Derivation:
@@ -550,12 +558,10 @@ def l2_16(sources, targets, calculus=CalculusId.ID) -> Derivation:
     missing = [e for e in sources if e not in targets]
     if missing:
         raise TacticError(f"disjunct {missing[0]} missing from the target list")
-    t = disj_chain(targets)
-    b = ProofBuilder(calculus)
-    leaves = {e: _inject(b, e, t) for e in sources}
     src = disj_chain(sources)
-    imp = _elim(b, src, leaves)
-    return b.build(conclusion=b.mp(imp, b.hyp(src)), hypotheses={src})
+    b = ProofBuilder(calculus)
+    return b.build(conclusion=_reroute(b, b.hyp(src), disj_chain(targets)),
+                   hypotheses={src})
 
 
 def l2_17(a, bf, c, calculus=CalculusId.ID) -> Derivation:
@@ -582,9 +588,8 @@ def l2_19(a, bf, calculus=CalculusId.ID) -> Derivation:
     b = ProofBuilder(calculus)
     h = b.hyp(Impl(Impl(a, bf), bf))
     excl = b.include(l2_11(a, bf, calculus))          # a v (a -> b)
-    ax4 = b.axiom(SchemeId.AX4, A=a, B=bf)
-    ab_x = _compose(b, h, b.axiom(SchemeId.AX5, A=bf, B=a))
-    return b.build(conclusion=_cases(b, ax4, ab_x, excl))
+    leaves = {Impl(a, bf): _into(b, h, x)}
+    return b.build(conclusion=_reroute(b, excl, x, leaves))
 
 
 def l2_21(a, bf, c, calculus=CalculusId.IC) -> EquivalencePair:

@@ -91,6 +91,8 @@ class TestInterning:
             Atom("1")
         with pytest.raises(ValueError):
             Atom(True)      # an int, and == 1, but not an atom index
+        with pytest.raises(ValueError, match="digits"):
+            Atom(10 ** 5000)  # more digits than pretty can print
 
 
 class TestFragments:

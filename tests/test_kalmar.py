@@ -255,6 +255,14 @@ class TestProve:
         with pytest.raises(TacticError):
             prove(parse("p1 & p1 -> p1"), CalculusId.ID)
 
+    def test_sweep_proof_sizes_do_not_grow(self):
+        # every 2-atom ->/v tautology with at most 3 connectives (346);
+        # upper bounds, so shorter proofs still pass
+        lengths = [len(prove(f, CalculusId.ID)) for f in enumerate_formulas(
+            3, [1, 2], Fragment.IMPLICATIVE_DISJUNCTIVE) if is_tautology(f)]
+        assert len(lengths) == 346
+        assert sum(lengths) <= 18_104 and max(lengths) <= 197
+
     def test_exhaustive_tiny(self):
         for f in enumerate_formulas(2, [1, 2], Fragment.IMPLICATIVE_DISJUNCTIVE):
             if is_tautology(f):

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from posprop.formula import Atom, Conj, Disj, Impl, conj_chain, parse
-from posprop.kernel import (CalculusId, CheckError, Derivation, HypStep,
-                            MPStep, SchemeId, check, hypothesis, prune,
-                            verify)
+from posprop.kernel import (AxiomStep, CalculusId, CheckError, Derivation,
+                            HypStep, MPStep, SchemeId, check, hypothesis,
+                            prune, verify)
 from posprop.semantics import entails, evaluate, assignments_over
 from posprop.formula import atoms_of
 from posprop.kalmar import build_line, prove
@@ -14,7 +14,8 @@ from posprop.tactics import (DERIVABILITY, THESIS, EquivalencePair, LemmaId,
                              conj_reassociation, conjoin, deduction, l2_21,
                              l2_22, l2_25, l2_26, lemma, pair_to_biconditional,
                              reflexive_pair, split_conjunction,
-                             substitute_equivalents, _deduction_body)
+                             substitute_equivalents, _deduction_body,
+                             _inject, _into, _reroute, _route)
 
 from test_formula import formulas
 
@@ -430,3 +431,50 @@ class TestProofBuilder:
         b.axiom(SchemeId.AX1, A=P2, B=P1)
         d = b.build(conclusion=first)
         assert d.conclusion == parse("p1 -> p2 -> p1")
+
+
+class TestRouter:
+    def test_inject_beside_sibling_is_one_axiom_step(self):
+        b = ProofBuilder(CalculusId.ID)
+        line = _inject(b, P2, Disj(P1, P2))
+        assert len(b.steps) == 1
+        assert b.steps[line] == AxiomStep(SchemeId.AX5, parse("p2 -> p1 v p2"))
+
+    def test_inject_along_a_path(self):
+        b = ProofBuilder(CalculusId.ID)
+        line = _inject(b, P2, parse("p1 v (p2 v p3) v p4"))
+        d = b.build(conclusion=line, hypotheses=())
+        assert check(d) == [] and d.conclusion == parse("p2 -> p1 v (p2 v p3) v p4")
+
+    def test_reroute_of_the_target_appends_nothing(self):
+        b = ProofBuilder(CalculusId.ID)
+        h = b.hyp(parse("p1 v p2"))
+        assert _reroute(b, h, parse("p1 v p2")) == h
+        assert len(b.steps) == 1
+
+    def test_disjunction_in_the_target_is_one_injection(self):
+        b = ProofBuilder(CalculusId.ID)
+        line = _route(b, parse("p2 v p3"), parse("p1 v p2 v p3"), {})
+        assert len(b.steps) == 1
+        assert b.steps[line] == AxiomStep(SchemeId.AX5,
+                                          parse("p2 v p3 -> p1 v p2 v p3"))
+
+    def test_target_itself_splits_by_cases(self):
+        b = ProofBuilder(CalculusId.ID)
+        line = _route(b, parse("p1 v p2"), parse("p1 v p2"), {})
+        d = b.build(conclusion=line, hypotheses=())
+        assert check(d) == [] and len(d) == 5
+        assert d.steps[2].scheme is SchemeId.AX6
+
+    def test_leaves_and_into(self):
+        b = ProofBuilder(CalculusId.ID)
+        target = parse("p3 v p2")
+        leaves = {P1: _into(b, b.hyp(parse("p1 -> p2")), target)}
+        out = _reroute(b, b.hyp(parse("p1 v p2")), target, leaves)
+        d = b.build(conclusion=out)
+        assert check(d) == [] and d.conclusion == target
+        assert d.hypotheses == frozenset([parse("p1 -> p2"), parse("p1 v p2")])
+
+    def test_missing_leaf_is_a_tactic_error(self):
+        with pytest.raises(TacticError):
+            _route(ProofBuilder(CalculusId.ID), parse("p1 v p3"), P1, {})
