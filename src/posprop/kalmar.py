@@ -13,8 +13,9 @@ first in the order R.
 
 Both levels build only what the proof cites.  A node whose true child
 never cites the split atom returns that child and builds no false
-subtree, no discharge and no join; and a node goal or a line target that
-instantiates an axiom scheme of the calculus is that one axiom step
+subtree, one whose false child has a line proving its goal returns that
+line, and neither builds a discharge or join; a node goal or a line
+target that instantiates an axiom scheme of the calculus is that one step
 (Peirce's law ((p1 -> p2) -> p1) -> p1 is Ax3 at the root).
 
 The constructors, build_line, eliminate and synthesize return unchecked
@@ -28,9 +29,8 @@ from dataclasses import dataclass
 
 from .formula import (Atom, Conj, Disj, Formula, Impl, atoms_of, delta_set,
                       disj_chain, gamma_set, pos_encode, neg_encode, r_sorted)
-# `prune` and `deduction` are not called here; they stay bound as
-# kalmar.prune and kalmar.deduction for the per-module tracer in
-# perfbench/spans.py
+# `deduction` is not called here; it stays bound as kalmar.deduction for
+# the per-module tracer in perfbench/spans.py
 from .kernel import (AxiomStep, CalculusId, Derivation, HypStep, SchemeId,
                      _is_instance, hypothesis, prune, verify)
 from .semantics import evaluate, find_countermodel
@@ -294,8 +294,9 @@ def eliminate(a: Formula, calc: CalculusId) -> Derivation:
 
     Only what the proof cites is built.  The B-true child comes first; if
     it never cites B (builders prune, so a hypothesis line present is a
-    cited one), it already proves (J)^a from the node's true atoms and is
-    the node's result, with no false subtree, discharge or join.  A node
+    cited one), it is the node's result, with no false subtree, discharge
+    or join.  Nor is there a discharge or join when a line of the B-false
+    child is (J)^a: that line, pruned, is the node's result.  A node
     whose goal (J)^a instantiates an axiom scheme of calc is that one
     axiom step, and is not split.  The result is unchecked.
     """
@@ -317,11 +318,15 @@ def eliminate(a: Formula, calc: CalculusId) -> Derivation:
         if HypStep(b1) not in d_true.steps:
             del v[b1.index]
             return Derivation(calc, d_true.hypotheses - {b1}, d_true.steps)
-        discharged = _deduction_body(d_true, b1)        # b1 -> x
         v[b1.index] = False
         d_false = node(k - 1)                           # b1 v x
         del v[b1.index]
-        x = discharged.conclusion.right
+        x = d_true.conclusion
+        for i, step in enumerate(d_false.steps):
+            if step.formula is x:
+                return prune(Derivation(calc, d_false.hypotheses,
+                                        d_false.steps[:i + 1]))
+        discharged = _deduction_body(d_true, b1)        # b1 -> x
         b = ProofBuilder(calc)
         i_false = b.include(d_false)
         i_imp = b.include(discharged)

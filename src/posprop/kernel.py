@@ -12,11 +12,14 @@ The four calculi:
     IC  Ax1-Ax3, Ax7-Ax9   implicative-conjunctive fragment
     P   Ax1-Ax9            full positive fragment
 
-with the single rule MP: from A -> B and A, infer B.
+with the single rule MP: from A -> B and A, infer B.  Each axiom scheme
+is stated once, in SCHEMES, as the constructor of its instances; builders
+call it, and match_scheme reads the instance it builds from distinct atoms.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -40,43 +43,45 @@ class SchemeId(Enum):
         return self.value
 
 
-# Scheme patterns as nested tuples: ("mv", name) is a metavariable,
-# (node class, lhs, rhs) a connective node.
-_A, _B, _C = ("mv", "A"), ("mv", "B"), ("mv", "C")
-
-SCHEME_PATTERNS = {
-    SchemeId.AX1: (Impl, _A, (Impl, _B, _A)),
-    SchemeId.AX2: (Impl, (Impl, _A, (Impl, _B, _C)),
-                   (Impl, (Impl, _A, _B), (Impl, _A, _C))),
-    SchemeId.AX3: (Impl, (Impl, (Impl, _A, _B), _A), _A),  # Peirce's law
-    SchemeId.AX4: (Impl, _A, (Disj, _A, _B)),
-    SchemeId.AX5: (Impl, _A, (Disj, _B, _A)),
-    SchemeId.AX6: (Impl, (Impl, _A, _C),
-                   (Impl, (Impl, _B, _C), (Impl, (Disj, _A, _B), _C))),
-    SchemeId.AX7: (Impl, (Conj, _A, _B), _A),
-    SchemeId.AX8: (Impl, (Conj, _A, _B), _B),
-    SchemeId.AX9: (Impl, _A, (Impl, _B, (Conj, _A, _B))),
+# a scheme's parameters are its metavariables
+SCHEMES = {
+    SchemeId.AX1: lambda A, B: Impl(A, Impl(B, A)),
+    SchemeId.AX2: lambda A, B, C: Impl(Impl(A, Impl(B, C)),
+                                       Impl(Impl(A, B), Impl(A, C))),
+    SchemeId.AX3: lambda A, B: Impl(Impl(Impl(A, B), A), A),  # Peirce's law
+    SchemeId.AX4: lambda A, B: Impl(A, Disj(A, B)),
+    SchemeId.AX5: lambda A, B: Impl(A, Disj(B, A)),
+    SchemeId.AX6: lambda A, B, C: Impl(Impl(A, C),
+                                       Impl(Impl(B, C), Impl(Disj(A, B), C))),
+    SchemeId.AX7: lambda A, B: Impl(Conj(A, B), A),
+    SchemeId.AX8: lambda A, B: Impl(Conj(A, B), B),
+    SchemeId.AX9: lambda A, B: Impl(A, Impl(B, Conj(A, B))),
 }
+
+
+def _pattern(build) -> tuple:
+    """The instance the scheme's constructor builds from the distinct atoms
+    p1, p2, ..., and the metavariable (parameter name) each atom stands for."""
+    names = {Atom(i): name for i, name in
+             enumerate(inspect.signature(build).parameters, 1)}
+    return build(*names), names
+
+
+_PATTERNS = {scheme: _pattern(build) for scheme, build in SCHEMES.items()}
+
+
+def _match(p: Formula, g: Formula, names: dict, subst: dict) -> bool:
+    if type(p) is Atom:  # hash-consed: a repeat binds the same object
+        return subst.setdefault(names[p], g) is g
+    return (type(g) is type(p) and _match(p.left, g.left, names, subst)
+            and _match(p.right, g.right, names, subst))
 
 
 def match_scheme(scheme: SchemeId, f: Formula) -> Optional[dict]:
     """Substitution instantiating the scheme to f exactly, or None."""
+    pattern, names = _PATTERNS[scheme]
     subst: dict = {}
-
-    def walk(pattern, g: Formula) -> bool:
-        if pattern[0] == "mv":
-            name = pattern[1]
-            if name in subst:
-                return subst[name] == g
-            subst[name] = g
-            return True
-        return (
-            isinstance(g, pattern[0])
-            and walk(pattern[1], g.left)
-            and walk(pattern[2], g.right)
-        )
-
-    return subst if walk(SCHEME_PATTERNS[scheme], f) else None
+    return subst if _match(pattern, f, names, subst) else None
 
 
 @lru_cache(maxsize=65536)
@@ -86,17 +91,9 @@ def _is_instance(scheme: SchemeId, f: Formula) -> bool:
 
 @lru_cache(maxsize=65536)
 def _instantiate(scheme: SchemeId, items: tuple) -> Formula:
-    subst = dict(items)
-
-    def walk(pattern) -> Formula:
-        if pattern[0] == "mv":
-            try:
-                return subst[pattern[1]]
-            except KeyError:
-                raise KeyError(f"substitution missing metavariable {pattern[1]}") from None
-        return pattern[0](walk(pattern[1]), walk(pattern[2]))
-
-    return walk(SCHEME_PATTERNS[scheme])
+    subst = dict(items)  # a missing metavariable raises KeyError(name)
+    names = _PATTERNS[scheme][1].values()
+    return SCHEMES[scheme](*(subst[name] for name in names))
 
 
 def instantiate_scheme(scheme: SchemeId, subst: dict) -> Formula:

@@ -33,8 +33,7 @@ from enum import Enum
 from .formula import (Atom, Conj, Disj, Formula, Impl, conj_chain,
                       disj_chain, subformula_at)
 from .kernel import (AxiomStep, CalculusId, CheckError, Derivation, HypStep,
-                     MPStep, SchemeId, StepError, hypothesis, instantiate_scheme,
-                     verify)
+                     MPStep, SCHEMES, SchemeId, StepError, hypothesis, verify)
 from .kernel import prune as _prune
 
 
@@ -67,8 +66,7 @@ class ProofBuilder:
         return self._add(HypStep(f))
 
     def axiom(self, scheme: SchemeId, **subst: Formula) -> int:
-        f = instantiate_scheme(scheme, subst)
-        return self._add(AxiomStep(scheme, f))
+        return self._add(AxiomStep(scheme, SCHEMES[scheme](**subst)))
 
     def mp(self, major: int, minor: int) -> int:
         imp = self.steps[major].formula

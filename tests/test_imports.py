@@ -10,7 +10,7 @@ PACKAGE = pathlib.Path(
     importlib.util.find_spec("posprop").submodule_search_locations[0])
 
 # bound only so that perfbench/spans.py can wrap them as module attributes
-TRACER_ONLY = {("kalmar", "prune"), ("kalmar", "deduction"),
+TRACER_ONLY = {("kalmar", "deduction"),
                ("transform", "prove"), ("transform", "deduction")}
 
 

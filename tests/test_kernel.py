@@ -1,23 +1,48 @@
+import inspect
 import json
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from posprop.formula import Atom, Formula, Fragment, parse
+from posprop.formula import (Atom, Conj, Disj, Formula, Fragment, Impl,
+                             parse, replace_at, subformula_at)
 from posprop.kalmar import build_line, prove
-from posprop.kernel import (AxiomStep, CalculusId, CheckError, Derivation,
-                            HypStep, MPStep, SchemeId, check, hypothesis,
-                            instantiate_scheme, match_scheme, prune, verify,
-                            _instantiate, _is_instance)
+from posprop.kernel import (SCHEMES, AxiomStep, CalculusId, CheckError,
+                            Derivation, HypStep, MPStep, SchemeId, check,
+                            hypothesis, instantiate_scheme, match_scheme,
+                            prune, verify, _instantiate, _is_instance)
 from posprop.proofio import (ProofFormatError, from_json, read_text, to_json,
                              write_text)
 from posprop.semantics import entails
+from posprop.tactics import ProofBuilder
 
 from test_formula import formulas
 
 
 def codes(errors):
     return [e.code for e in errors]
+
+
+def nodes(f, path=()):
+    """(node, path) for every node of f, in preorder."""
+    if isinstance(f, Atom):
+        return [(f, path)]
+    return ([(f, path)] + nodes(f.left, path + ("left",))
+            + nodes(f.right, path + ("right",)))
+
+
+def pattern_nodes(scheme):
+    """The nodes of the scheme's instance built from distinct atoms, in
+    which each atom stands for one metavariable."""
+    n = len(inspect.signature(SCHEMES[scheme]).parameters)
+    return nodes(SCHEMES[scheme](*map(Atom, range(1, n + 1))))
+
+
+def compound_subst(scheme):
+    """Distinct compound formulas for the scheme's metavariables, keyed by
+    the constructor's parameter names."""
+    names = inspect.signature(SCHEMES[scheme]).parameters
+    return dict(zip(names, map(parse, ("p1 v p2", "p2 -> p3", "p1 & p3"))))
 
 
 class TestSchemes:
@@ -45,6 +70,41 @@ class TestSchemes:
     def test_instantiate_missing_metavariable(self):
         with pytest.raises(KeyError):
             instantiate_scheme(SchemeId.AX2, {"A": Atom(1)})
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_constructor_instance_matches_back(self, scheme):
+        subst = compound_subst(scheme)
+        assert match_scheme(scheme, SCHEMES[scheme](**subst)) == subst
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_broken_repeat_is_not_matched(self, scheme):
+        atoms = [(g, path) for g, path in pattern_nodes(scheme)
+                 if isinstance(g, Atom)]
+        repeated = [path for g, path in atoms
+                    if sum(h is g for h, _ in atoms) > 1]
+        assert repeated, f"{scheme} repeats no metavariable"
+        instance = SCHEMES[scheme](**compound_subst(scheme))
+        for path in repeated:
+            broken = replace_at(instance, path, parse("p4 -> p4"))
+            assert match_scheme(scheme, broken) is None, path
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_changed_connective_is_not_matched(self, scheme):
+        instance = SCHEMES[scheme](**compound_subst(scheme))
+        other = {Impl: Disj, Disj: Conj, Conj: Impl}
+        for g, path in pattern_nodes(scheme):
+            if not isinstance(g, Atom):
+                node = subformula_at(instance, path)
+                changed = other[type(node)](node.left, node.right)
+                assert match_scheme(scheme, replace_at(instance, path,
+                                                       changed)) is None, path
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_builder_axiom_is_instantiate_scheme(self, scheme):
+        subst = compound_subst(scheme)
+        b = ProofBuilder(CalculusId.P)
+        assert b.formula_at(b.axiom(scheme, **subst)) is instantiate_scheme(
+            scheme, subst)
 
 
 class TestCalculi:
