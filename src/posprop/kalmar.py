@@ -3,13 +3,14 @@
 For a fixed assignment each subformula gets a "line": from the true atoms,
 derive the formula's positive encoding (when true) or negative encoding
 (when false) over the false atoms.  Lines are built by structural
-recursion (the lemma_3_* / lemma_4_* constructors below, which share four
-encoding moves, _widen, _weaken, _or_chain and _close, each a call of the
-tactics router _route).  eliminate then merges them down a decision tree
-that splits on the atoms, greatest first in the order R: each inner node
-discharges its atom from the true child by the deduction theorem and
-joins the false child by case analysis, so the atoms are eliminated least
-first in the order R.
+recursion (the lemma_3_* / lemma_4_* constructors below, which share three
+encoding moves, _weaken, _or_chain and _close, each a call of the tactics
+router _route; no constructor picks an Ax4/Ax5 step itself, so Lemma 3.4
+is _close of the true disjunct's line).  eliminate then merges them down
+a decision tree that splits on the atoms, greatest first in the order R:
+each inner node discharges its atom from the true child by the deduction
+theorem and joins the false child by case analysis, so the atoms are
+eliminated least first in the order R.
 
 Both levels build only what the proof cites.  A node whose true child
 never cites the split atom returns that child and builds no false
@@ -74,14 +75,6 @@ def _line_target(v: dict, f: Formula) -> Formula:
     return pos_encode(delta, f) if evaluate(v, f) else neg_encode(delta, f)
 
 
-def _widen(b: ProofBuilder, v: dict, premise: int, part: Formula, intro: int,
-           whole: Formula) -> int:
-    """From the line (Delta[v;part])^part and an intro line part -> whole,
-    the line (Delta[v;whole])^whole."""
-    target = pos_encode(delta_set(v, whole), whole)
-    return _reroute(b, premise, target, {part: _into(b, intro, target)})
-
-
 def _weaken(b: ProofBuilder, d: Derivation, c_chain: Formula) -> int:
     """From d, concluding part -> chain of its false atoms, the line
     part -> c_chain, c_chain over a superset of those atoms."""
@@ -109,15 +102,26 @@ def _close(b: ProofBuilder, v: dict, premise: int, whole: Formula) -> int:
     return _reroute(b, premise, pos_encode(delta_set(v, whole), whole))
 
 
+def _named_side(a: Formula, bf: Formula, side: str) -> Formula:
+    """a for side "left", bf for "right"; any other side is a TacticError."""
+    if side == "left":
+        return a
+    if side == "right":
+        return bf
+    raise TacticError(f"side must be 'left' or 'right', not {side!r}")
+
+
 def lemma_3_1(v: dict, a: Formula, bf: Formula, db: Derivation) -> Derivation:
     """(Delta[v;B])^B ⊢ (Delta[v;A->B])^(A->B), for v(B) = T."""
     if not evaluate(v, bf):
         raise TacticError("3.1 needs the consequent true")
+    imp = Impl(a, bf)
+    target = pos_encode(delta_set(v, imp), imp)
     b = ProofBuilder(db.calculus)
     premise = b.include(db)
     ax1 = b.axiom(SchemeId.AX1, A=bf, B=a)         # B -> (A -> B)
-    return b.build(conclusion=_widen(b, v, premise, bf, ax1, Impl(a, bf)),
-                   hypotheses=db.hypotheses)
+    out = _reroute(b, premise, target, {bf: _into(b, ax1, target)})
+    return b.build(conclusion=out, hypotheses=db.hypotheses)
 
 
 def lemma_3_2(v: dict, a: Formula, bf: Formula, da: Derivation) -> Derivation:
@@ -150,15 +154,12 @@ def lemma_3_3(v: dict, a: Formula, bf: Formula, da: Derivation,
 
 def lemma_3_4(v: dict, a: Formula, bf: Formula, d: Derivation,
               side: str) -> Derivation:
-    """(Delta[v;X])^X ⊢ (Delta[v;A v B])^(A v B), X the true disjunct."""
-    true_part = a if side == "left" else bf
-    if not evaluate(v, true_part):
+    """(Delta[v;X])^X ⊢ (Delta[v;A v B])^(A v B), X the true disjunct on
+    side ("left" or "right")."""
+    if not evaluate(v, _named_side(a, bf, side)):
         raise TacticError("3.4 needs the certified disjunct true")
     b = ProofBuilder(d.calculus)
-    intro = (b.axiom(SchemeId.AX4, A=a, B=bf) if side == "left"
-             else b.axiom(SchemeId.AX5, A=bf, B=a))     # X -> A v B
-    return b.build(conclusion=_widen(b, v, b.include(d), true_part, intro,
-                                     Disj(a, bf)),
+    return b.build(conclusion=_close(b, v, b.include(d), Disj(a, bf)),
                    hypotheses=d.hypotheses)
 
 
@@ -199,9 +200,10 @@ def lemma_4_1(v: dict, a: Formula, bf: Formula, da: Derivation,
 
 def lemma_4_2(v: dict, a: Formula, bf: Formula, d: Derivation,
               side: str) -> Derivation:
-    """(Delta[v;X])^~X ⊢ (Delta[v;A&B])^~(A&B), X the false conjunct."""
-    false_part, scheme = ((a, SchemeId.AX7) if side == "left"
-                          else (bf, SchemeId.AX8))
+    """(Delta[v;X])^~X ⊢ (Delta[v;A&B])^~(A&B), X the false conjunct on
+    side ("left" or "right")."""
+    false_part = _named_side(a, bf, side)
+    scheme = SchemeId.AX7 if side == "left" else SchemeId.AX8
     if evaluate(v, false_part):
         raise TacticError("4.2 needs the certified conjunct false")
     c_chain = disj_chain(r_sorted(delta_set(v, Conj(a, bf))))

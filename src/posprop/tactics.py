@@ -16,13 +16,15 @@ The central tool is ProofBuilder, which accumulates steps, deduplicates
 lines by formula (a sound peephole: an identical earlier line under the
 same hypotheses proves the same thing), splices existing derivations with
 index re-offsetting, and drops the steps a conclusion does not cite when
-it freezes a derivation.  Four moves on its lines are written once and
-used by every builder: _cases (Ax6 case analysis), _conj_intro (Ax9
-introduction), _conj_elim (Ax7/Ax8 elimination) and _route, which
-carries one disjunction tree into another by Ax4/Ax5 injections and Ax6
-splits (_reroute and _into apply it to a line).  The biconditional
-helpers of Lemma 2.20 are conjoin and split_conjunction of an
-equivalence pair's two thesis halves.
+it freezes a derivation.  Three moves on its lines are written once and
+used by every builder: _conj_intro (Ax9 introduction), _conj_elim
+(Ax7/Ax8 elimination) and _route, which carries one disjunction tree
+into another by Ax4/Ax5 injections and Ax6 splits (_reroute and _into
+apply it to a line).  Every Ax4, Ax5 and Ax6 step a builder makes
+comes from _route: case analysis on x v y is _reroute with the lines
+x -> t and y -> t as leaves.  The biconditional helpers of Lemma 2.20
+are conjoin and split_conjunction of an equivalence pair's two thesis
+halves.
 """
 
 from __future__ import annotations
@@ -183,13 +185,6 @@ def _deduction_body(d: Derivation, a: Formula) -> Derivation:
                    hypotheses=d.hypotheses - {a})
 
 
-def _discharge(d: Derivation, a: Formula) -> Derivation:
-    """Discharge a where it may not be a hypothesis at all (degenerate
-    template instantiations can collapse two intended hypotheses into
-    one); _deduction_body then weakens the conclusion via Ax1."""
-    return _deduction_body(d, a)
-
-
 # ---------------------------------------------------------------------------
 # disjunction toolkit
 
@@ -200,17 +195,20 @@ def _occurs_as_disjunct(e: Formula, tree: Formula) -> bool:
 
 
 def _inject(b: ProofBuilder, e: Formula, target: Formula) -> int:
-    """Line proving e -> target, where e occurs as a disjunct of target
-    (leftmost occurrence): the Ax4/Ax5 step that puts e beside its
-    sibling, composed with each step out to target."""
+    """Line proving e -> target, where e occurs as a disjunct of target:
+    one Ax4/Ax5 step when e is a child of target, else the step that puts
+    e beside its sibling at its leftmost occurrence, composed with each
+    step out to target."""
     if target == e:
         return _identity(b, e)
     if isinstance(target, Disj):
-        for side, other, scheme in ((target.left, target.right, SchemeId.AX4),
-                                    (target.right, target.left, SchemeId.AX5)):
+        sides = ((target.left, target.right, SchemeId.AX4),
+                 (target.right, target.left, SchemeId.AX5))
+        for side, other, scheme in sides:
+            if side == e:
+                return b.axiom(scheme, A=e, B=other)
+        for side, other, scheme in sides:
             if _occurs_as_disjunct(e, side):
-                if side == e:
-                    return b.axiom(scheme, A=e, B=other)
                 sub = _inject(b, e, side)
                 return _compose(b, sub, b.axiom(scheme, A=side, B=other))
     raise TacticError(f"{e} does not occur as a disjunct of {target}")
@@ -250,13 +248,6 @@ def _into(b: ProofBuilder, line: int, target: Formula) -> int:
     if y == target:
         return line
     return _compose(b, line, _route(b, y, target, {}))
-
-
-def _cases(b: ProofBuilder, first: int, second: int, disj: int) -> int:
-    """From lines x -> t, y -> t and x v y, derive t (Ax6)."""
-    f1, f2 = b.formula_at(first), b.formula_at(second)
-    ax6 = b.axiom(SchemeId.AX6, A=f1.left, B=f2.left, C=f1.right)
-    return b.mp(b.mp(b.mp(ax6, first), second), disj)
 
 
 def _conj_intro(b: ProofBuilder, left: int, right: int) -> int:
@@ -463,14 +454,14 @@ def l2_7(a, bf, calculus=CalculusId.I) -> Derivation:
     imp = b.hyp(Impl(a, bf))
     h = b.hyp(a)
     d = b.build(conclusion=b.mp(imp, h))
-    return _discharge(_discharge(d, Impl(a, bf)), a)
+    return _deduction_body(_deduction_body(d, Impl(a, bf)), a)
 
 
 def l2_8(a, bf, calculus=CalculusId.I) -> Derivation:
     b = ProofBuilder(calculus)
     b.hyp(a)
     d = b.build(hypotheses={a, Impl(bf, a)})
-    return _discharge(_discharge(d, Impl(bf, a)), a)
+    return _deduction_body(_deduction_body(d, Impl(bf, a)), a)
 
 
 def l2_9(a, bf, calculus=CalculusId.I) -> Derivation:
@@ -479,7 +470,7 @@ def l2_9(a, bf, calculus=CalculusId.I) -> Derivation:
     h = b.hyp(a)
     outer = b.hyp(nested)
     d = b.build(conclusion=b.mp(b.mp(outer, h), h))
-    return _discharge(_discharge(d, a), nested)
+    return _deduction_body(_deduction_body(d, a), nested)
 
 
 def l2_10(a, bf, c, calculus=CalculusId.I) -> Derivation:
@@ -497,10 +488,9 @@ def l2_11(a, bf, calculus=CalculusId.ID) -> Derivation:
     x = Disj(a, Impl(a, bf))
     inner = ProofBuilder(calculus)
     h = inner.hyp(Impl(x, bf))
-    ax4 = inner.axiom(SchemeId.AX4, A=a, B=Impl(a, bf))
-    ab = _compose(inner, ax4, h)                      # a -> b
-    ax5 = inner.axiom(SchemeId.AX5, A=Impl(a, bf), B=a)
-    d = _deduction_body(inner.build(conclusion=inner.mp(ax5, ab)), Impl(x, bf))
+    ab = _compose(inner, _route(inner, a, x, {}), h)  # a -> b
+    d = _deduction_body(inner.build(conclusion=_reroute(inner, ab, x)),
+                        Impl(x, bf))
     b = ProofBuilder(calculus)
     premise = b.include(d)
     peirce = b.axiom(SchemeId.AX3, A=x, B=bf)
@@ -530,8 +520,7 @@ def l2_14(a, bf, c, calculus=CalculusId.ID) -> Derivation:
     h = b.hyp(a)
     ax1 = b.axiom(SchemeId.AX1, A=a, B=c)
     ca = b.mp(ax1, h)
-    ax5 = b.axiom(SchemeId.AX5, A=Impl(c, a), B=bf)
-    return b.build(conclusion=b.mp(ax5, ca))
+    return b.build(conclusion=_reroute(b, ca, Disj(bf, Impl(c, a))))
 
 
 def l2_15(a_list, bf, calculus=CalculusId.ID) -> EquivalencePair:
@@ -568,8 +557,9 @@ def l2_17(a, bf, c, calculus=CalculusId.ID) -> Derivation:
     h_ca = b.hyp(Impl(c, a))
     h_bc = b.hyp(Impl(bf, c))
     ba = _compose(b, h_bc, h_ca)
+    # a's identity is a leaf: the router would split a disjunction a by Ax6
     aa = _identity(b, a)
-    d = b.build(conclusion=_cases(b, aa, ba, h_or))
+    d = b.build(conclusion=_reroute(b, h_or, a, {a: aa, bf: ba}))
     return _deduction_body(d, Impl(bf, c))
 
 
@@ -577,8 +567,8 @@ def l2_18(a, bf, calculus=CalculusId.ID) -> Derivation:
     b = ProofBuilder(calculus)
     h_or = b.hyp(Disj(a, bf))
     h_ab = b.hyp(Impl(a, bf))
-    bb = _identity(b, bf)
-    return b.build(conclusion=_cases(b, h_ab, bb, h_or))
+    bb = _identity(b, bf)                             # a leaf, as in l2_17
+    return b.build(conclusion=_reroute(b, h_or, bf, {a: h_ab, bf: bb}))
 
 
 def l2_19(a, bf, calculus=CalculusId.ID) -> Derivation:
@@ -621,7 +611,7 @@ def l2_22(a, bf, c, calculus=CalculusId.IC) -> EquivalencePair:
     b = ProofBuilder(calculus)
     hp = b.hyp(packed)
     ab = _conj_intro(b, b.hyp(a), b.hyp(bf))
-    fwd = _discharge(_discharge(
+    fwd = _deduction_body(_deduction_body(
         b.build(conclusion=b.mp(hp, ab), hypotheses={packed, a, bf}), bf), a)
 
     b2 = ProofBuilder(calculus)
@@ -664,15 +654,13 @@ def l2_23(a_list, bf, calculus=CalculusId.IC) -> EquivalencePair:
 def _distribution(c, a, bf, calculus, c_first: bool) -> EquivalencePair:
     """Lemmas 2.25 (c_first) and 2.26 as one derivability pair, c v a & b ⇄
     (c v a) & (c v b) with c the left disjunct of every disjunction when
-    c_first and the right one otherwise.  Steps come in the order of the
-    two lemmas' own proofs: the left disjunct's case line first, and the
-    split on c v b (2.25) or a v c (2.26) before the other."""
+    c_first and the right one otherwise.  The backward half splits on
+    c v b (2.25) or a v c (2.26) before the other, as the lemmas' own
+    proofs do."""
 
     def order(c_side, other):         # the two disjuncts, left one first
         return (c_side, other) if c_first else (other, c_side)
 
-    # the schemes putting c, and the other disjunct x, into their places
-    c_in, x_in = order(SchemeId.AX4, SchemeId.AX5)
     ab = Conj(a, bf)
     left = Disj(*order(c, ab))
     side_a, side_b = Disj(*order(c, a)), Disj(*order(c, bf))
@@ -681,14 +669,11 @@ def _distribution(c, a, bf, calculus, c_first: bool) -> EquivalencePair:
     b = ProofBuilder(calculus)
     h = b.hyp(left)
 
-    def half(member, scheme):         # left ⊢ c v member
-        makers = order(lambda: b.axiom(c_in, A=c, B=member),
-                       lambda: _compose(b, b.axiom(scheme, A=a, B=bf),
-                                        b.axiom(x_in, A=member, B=c)))
-        first, second = (make() for make in makers)
-        return _cases(b, first, second, h)
+    def half(side, scheme):           # left ⊢ side, a & b by its projection
+        proj = _into(b, b.axiom(scheme, A=a, B=bf), side)
+        return _reroute(b, h, side, {ab: proj})
 
-    s_a, s_b = half(a, SchemeId.AX7), half(bf, SchemeId.AX8)
+    s_a, s_b = half(side_a, SchemeId.AX7), half(side_b, SchemeId.AX8)
     fwd = b.build(conclusion=_conj_intro(b, s_a, s_b), hypotheses={left})
 
     b2 = ProofBuilder(calculus)
@@ -701,21 +686,19 @@ def _distribution(c, a, bf, calculus, c_first: bool) -> EquivalencePair:
     # inner -> (outer -> left)
     m = ProofBuilder(calculus)
     hyps = {f: m.hyp(f) for f in (inner, outer)}
-    conj = _conj_intro(m, hyps[a], hyps[bf])
-    lift = m.mp(m.axiom(x_in, A=ab, B=c), conj)
-    m_line = b2.include(_discharge(_discharge(
+    lift = _reroute(m, _conj_intro(m, hyps[a], hyps[bf]), left)
+    m_line = b2.include(_deduction_body(_deduction_body(
         m.build(conclusion=lift), outer), inner))
 
     # c -> (outer -> left)
     k = ProofBuilder(calculus)
-    ic = k.hyp(c)
-    lx = k.mp(k.axiom(c_in, A=c, B=ab), ic)
+    lx = _reroute(k, k.hyp(c), left)
     weak = k.mp(k.axiom(SchemeId.AX1, A=left, B=outer), lx)
     c_line = b2.include(_deduction_body(k.build(conclusion=weak), c))
 
-    outer_left = _cases(b2, *order(c_line, m_line), s_inner)
-    c_left = b2.axiom(c_in, A=c, B=ab)
-    out = _cases(b2, *order(c_left, outer_left), s_outer)
+    outer_left = _reroute(b2, s_inner, Impl(outer, left),
+                          {c: c_line, inner: m_line})
+    out = _reroute(b2, s_outer, left, {outer: outer_left})
     bwd = b2.build(conclusion=out, hypotheses={right})
     return EquivalencePair(fwd, bwd)
 
@@ -773,16 +756,9 @@ def _congruence(context: Formula, direction: str,
             return _deduction_body(
                 b.build(conclusion=out, hypotheses={src, new_sub}), new_sub)
         if ctor is Disj:
-            # Ax4 puts its A on the left of a disjunction, Ax5 on the right
-            on_right = direction == "right"
-            new_in, other_in = ((SchemeId.AX5, SchemeId.AX4) if on_right
-                                else (SchemeId.AX4, SchemeId.AX5))
             child_imp = b.include(_deduction_body(inner_fwd, old_child))
-            into = _compose(b, child_imp, b.axiom(new_in, A=new_sub, B=other))
-            keep = b.axiom(other_in, A=other, B=new_sub)
-            first, second = (keep, into) if on_right else (into, keep)
-            return b.build(conclusion=_cases(b, first, second, h),
-                           hypotheses={src})
+            out = _reroute(b, h, dst, {old_child: _into(b, child_imp, dst)})
+            return b.build(conclusion=out, hypotheses={src})
         if ctor is Conj:
             first = _conj_elim(b, h, SchemeId.AX7)
             second = _conj_elim(b, h, SchemeId.AX8)
@@ -888,12 +864,16 @@ def lemma(lemma_id: LemmaId, args, target: CalculusId):
     derivation, or both halves of an EquivalencePair: 2.15 a derivability
     pair, the others the theses the paper states.
     """
+    if not isinstance(lemma_id, LemmaId):
+        raise TacticError(f"lemma_id must be a LemmaId, not {lemma_id!r}")
     if lemma_id not in _LEMMAS:
         raise TacticError(
             f"{lemma_id.value} is an operation, not a derivation schema; "
             "see pair_to_biconditional/biconditional_to_pair and "
             "conjoin/split_conjunction")
     ctor, arity, minimum = _LEMMAS[lemma_id]
+    if not isinstance(target, CalculusId):
+        raise TacticError(f"target must be a CalculusId, not {target!r}")
     if not target.extends(minimum):
         raise TacticError(f"{target} lacks the schemes needed (requires {minimum})")
     try:

@@ -228,7 +228,10 @@ class TestGoldenLemmas:
         (LemmaId.L2_16, [P1, P1, P1], CalculusId.ID),   # three, not two
         (LemmaId.L2_5, ["p1"], CalculusId.I),           # text, not a formula
         (LemmaId.L2_5, P1, CalculusId.I),               # not a sequence
-    ], ids=["l2_16-atoms", "l2_16-three", "l2_5-text", "l2_5-bare"])
+        (LemmaId.L2_5, [P1], "I"),                      # not a CalculusId
+        ("2.5", [P1], CalculusId.I),                    # not a LemmaId
+    ], ids=["l2_16-atoms", "l2_16-three", "l2_5-text", "l2_5-bare",
+            "l2_5-calculus-text", "lemma-id-text"])
     def test_malformed_arguments_are_tactic_errors(self, lid, args, calc):
         with pytest.raises(TacticError):
             lemma(lid, args, calc)
@@ -241,6 +244,25 @@ class TestGoldenLemmas:
         for lid, args, calc, *_ in GOLDEN_PAIRS:
             p = lemma(lid, [P1] * len(args), calc)
             assert check(p.forward) == [] and check(p.backward) == []
+        # compound overlaps: c = a & b, and a a disjunct of c
+        for c, a, bf in ((Conj(P1, P2), P1, P2), (Disj(P1, P2), P1, P3)):
+            statements = {
+                LemmaId.L2_25: ((c, a, bf), Disj(c, Conj(a, bf)),
+                                Conj(Disj(c, a), Disj(c, bf))),
+                LemmaId.L2_26: ((a, bf, c), Disj(Conj(a, bf), c),
+                                Conj(Disj(a, c), Disj(bf, c)))}
+            for lid, (args, left, right) in statements.items():
+                p = lemma(lid, args, CalculusId.P)
+                assert p.forward.conclusion == Impl(left, right)
+                assert p.backward.conclusion == Impl(right, left)
+                assert check(p.forward) == [] and check(p.backward) == []
+        # a v context whose other side is the new child
+        p = lemma(LemmaId.L2_15, [P1, P2, P3], CalculusId.ID)
+        old, new = p.left, p.right
+        for c, path in ((Disj(old, new), ("left",)), (Disj(new, old), ("right",))):
+            out = substitute_equivalents(c, path, p)
+            assert out.left == c and out.right == Disj(new, new)
+            assert check(out.forward) == [] and check(out.backward) == []
 
     def test_lemmas_are_semantically_sound(self):
         for lid, args, calc, hyps, concl in GOLDEN_DERIVATIONS:
@@ -439,6 +461,13 @@ class TestRouter:
         line = _inject(b, P2, Disj(P1, P2))
         assert len(b.steps) == 1
         assert b.steps[line] == AxiomStep(SchemeId.AX5, parse("p2 -> p1 v p2"))
+
+    def test_inject_into_a_child_before_a_deeper_occurrence(self):
+        b = ProofBuilder(CalculusId.ID)
+        line = _inject(b, P1, parse("(p1 v p2) v p1"))
+        assert len(b.steps) == 1
+        assert b.steps[line] == AxiomStep(SchemeId.AX5,
+                                          parse("p1 -> (p1 v p2) v p1"))
 
     def test_inject_along_a_path(self):
         b = ProofBuilder(CalculusId.ID)
