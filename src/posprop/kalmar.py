@@ -3,10 +3,10 @@
 For a fixed assignment each subformula gets a "line": from the true atoms,
 derive the formula's positive encoding (when true) or negative encoding
 (when false) over the false atoms.  Lines are built by structural
-recursion (the lemma_3_* / lemma_4_* constructors below, which share three
-encoding moves, _weaken, _or_chain and _close, each a call of the tactics
-router _route; no constructor picks an Ax4/Ax5 step itself, so Lemma 3.4
-is _close of the true disjunct's line).  eliminate then merges them down
+recursion (the lemma_3_* / lemma_4_* constructors below, which carry
+each encoding into the next by the tactics router, _into and _reroute;
+no constructor picks an Ax4/Ax5 step itself, so Lemma 3.4 is _close, a
+_reroute, of the true disjunct's line).  eliminate then merges them down
 a decision tree that splits on the atoms, greatest first in the order R:
 each inner node discharges its atom from the true child by the deduction
 theorem and joins the false child by case analysis, so the atoms are
@@ -75,27 +75,6 @@ def _line_target(v: dict, f: Formula) -> Formula:
     return pos_encode(delta, f) if evaluate(v, f) else neg_encode(delta, f)
 
 
-def _weaken(b: ProofBuilder, d: Derivation, c_chain: Formula) -> int:
-    """From d, concluding part -> chain of its false atoms, the line
-    part -> c_chain, c_chain over a superset of those atoms."""
-    chain = d.conclusion.right
-    # the routing lines come before d is spliced, so that an identity
-    # chain -> chain inside d dedups onto the router's Ax6 line
-    mid = _route(b, chain, c_chain, {})
-    line = b.include(d)
-    return line if chain == c_chain else _compose(b, line, mid)
-
-
-def _or_chain(b: ProofBuilder, d: Derivation, part: Formula,
-              c_chain: Formula) -> int:
-    """From d, concluding (Delta[v;part])^part, the line c_chain v part,
-    c_chain over a superset of Delta."""
-    # before the splice, as in _weaken; when d already concludes
-    # c_chain v part, the MP dedups onto d's line
-    imp = _route(b, d.conclusion, Disj(c_chain, part), {})
-    return b.mp(imp, b.include(d))
-
-
 def _close(b: ProofBuilder, v: dict, premise: int, whole: Formula) -> int:
     """From the line c_chain v whole, c_chain the chain of the false atoms
     of whole, the line (Delta[v;whole])^whole."""
@@ -131,7 +110,7 @@ def lemma_3_2(v: dict, a: Formula, bf: Formula, da: Derivation) -> Derivation:
     imp = Impl(a, bf)
     c_chain = disj_chain(r_sorted(delta_set(v, imp)))
     b = ProofBuilder(da.calculus)
-    a_c = _weaken(b, da, c_chain)                  # a -> c_chain
+    a_c = _into(b, b.include(da), c_chain)         # a -> c_chain
     split = b.include(l2_13(a, c_chain, bf, da.calculus),
                       hyp_map={Impl(a, c_chain): a_c})  # c_chain v (a -> b)
     return b.build(conclusion=_close(b, v, split, imp),
@@ -145,8 +124,8 @@ def lemma_3_3(v: dict, a: Formula, bf: Formula, da: Derivation,
         raise TacticError("3.3 needs the consequent false")
     c_chain = disj_chain(r_sorted(delta_set(v, Impl(a, bf))))
     b = ProofBuilder(da.calculus)
-    cva = _or_chain(b, da, a, c_chain)             # c_chain v a
-    b_c = _weaken(b, db, c_chain)                  # b -> c_chain
+    cva = _reroute(b, b.include(da), Disj(c_chain, a))
+    b_c = _into(b, b.include(db), c_chain)         # b -> c_chain
     out = b.include(l2_17(c_chain, a, bf, da.calculus),
                     hyp_map={Disj(c_chain, a): cva, Impl(bf, c_chain): b_c})
     return b.build(conclusion=out, hypotheses=da.hypotheses | db.hypotheses)
@@ -170,7 +149,8 @@ def lemma_3_5(v: dict, a: Formula, bf: Formula, da: Derivation,
         raise TacticError("3.5 needs both disjuncts false")
     c_chain = disj_chain(r_sorted(delta_set(v, Disj(a, bf))))
     b = ProofBuilder(da.calculus)
-    leaves = {a: _weaken(b, da, c_chain), bf: _weaken(b, db, c_chain)}
+    leaves = {a: _into(b, b.include(da), c_chain),
+              bf: _into(b, b.include(db), c_chain)}
     out = _route(b, Disj(a, bf), c_chain, leaves)
     return b.build(conclusion=out, hypotheses=da.hypotheses | db.hypotheses)
 
@@ -187,7 +167,8 @@ def lemma_4_1(v: dict, a: Formula, bf: Formula, da: Derivation,
         out = _conj_intro(b, b.include(da), b.include(db))
         return b.build(conclusion=out, hypotheses=da.hypotheses | db.hypotheses)
     c_chain = disj_chain(r_sorted(delta))
-    cva, cvb = _or_chain(b, da, a, c_chain), _or_chain(b, db, bf, c_chain)
+    cva = _reroute(b, b.include(da), Disj(c_chain, a))
+    cvb = _reroute(b, b.include(db), Disj(c_chain, bf))
     packed = _conj_intro(b, cva, cvb)
     # l2_25's backward half as a thesis: spliced by hyp_map, its lines merge
     # with cva/cvb into a redundant case split when a is a true atom
@@ -208,7 +189,7 @@ def lemma_4_2(v: dict, a: Formula, bf: Formula, d: Derivation,
         raise TacticError("4.2 needs the certified conjunct false")
     c_chain = disj_chain(r_sorted(delta_set(v, Conj(a, bf))))
     b = ProofBuilder(d.calculus)
-    x_c = _weaken(b, d, c_chain)                    # X -> c_chain
+    x_c = _into(b, b.include(d), c_chain)           # X -> c_chain
     proj = b.axiom(scheme, A=a, B=bf)               # A & B -> X
     return b.build(conclusion=_compose(b, proj, x_c), hypotheses=d.hypotheses)
 

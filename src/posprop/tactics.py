@@ -242,12 +242,15 @@ def _reroute(b: ProofBuilder, premise: int, target: Formula,
 
 
 def _into(b: ProofBuilder, line: int, target: Formula) -> int:
-    """From the line x -> y, the line x -> target (y routed into target);
-    the line itself when y already is target."""
-    y = b.formula_at(line).right
-    if y == target:
+    """From the line x -> y, the line x -> target: the line itself when y
+    already is target, one Ax4/Ax5 step when x is a child of target, else
+    y routed into target."""
+    f = b.formula_at(line)
+    if f.right == target:
         return line
-    return _compose(b, line, _route(b, y, target, {}))
+    if isinstance(target, Disj) and f.left in (target.left, target.right):
+        return _inject(b, f.left, target)
+    return _compose(b, line, _route(b, f.right, target, {}))
 
 
 def _conj_intro(b: ProofBuilder, left: int, right: int) -> int:
@@ -557,9 +560,7 @@ def l2_17(a, bf, c, calculus=CalculusId.ID) -> Derivation:
     h_ca = b.hyp(Impl(c, a))
     h_bc = b.hyp(Impl(bf, c))
     ba = _compose(b, h_bc, h_ca)
-    # a's identity is a leaf: the router would split a disjunction a by Ax6
-    aa = _identity(b, a)
-    d = b.build(conclusion=_reroute(b, h_or, a, {a: aa, bf: ba}))
+    d = b.build(conclusion=_reroute(b, h_or, a, {bf: ba}))
     return _deduction_body(d, Impl(bf, c))
 
 
@@ -567,8 +568,7 @@ def l2_18(a, bf, calculus=CalculusId.ID) -> Derivation:
     b = ProofBuilder(calculus)
     h_or = b.hyp(Disj(a, bf))
     h_ab = b.hyp(Impl(a, bf))
-    bb = _identity(b, bf)                             # a leaf, as in l2_17
-    return b.build(conclusion=_reroute(b, h_or, bf, {a: h_ab, bf: bb}))
+    return b.build(conclusion=_reroute(b, h_or, bf, {a: h_ab}))
 
 
 def l2_19(a, bf, calculus=CalculusId.ID) -> Derivation:

@@ -268,7 +268,12 @@ class TestProve:
         lengths = [len(prove(f, CalculusId.ID)) for f in enumerate_formulas(
             3, [1, 2], Fragment.IMPLICATIVE_DISJUNCTIVE) if is_tautology(f)]
         assert len(lengths) == 346
-        assert sum(lengths) <= 17_899 and max(lengths) <= 197
+        assert sum(lengths) <= 17_359 and max(lengths) <= 195
+
+    def test_join_splits_a_disjunctive_side_by_the_router(self):
+        # the 2.18 joins split each disjunctive side by Ax6 over Ax4/Ax5
+        # lines the proof already holds
+        assert len(prove(parse("(p1 -> p2) v (p2 -> p1)"), CalculusId.ID)) <= 122
 
     def test_exhaustive_tiny(self):
         for f in enumerate_formulas(2, [1, 2], Fragment.IMPLICATIVE_DISJUNCTIVE):

@@ -11,8 +11,9 @@ from posprop.kalmar import build_line, prove
 from posprop.tactics import (DERIVABILITY, THESIS, EquivalencePair, LemmaId,
                              ProofBuilder, TacticError, as_derivability,
                              as_thesis, biconditional_to_pair, compose_pairs,
-                             conj_reassociation, conjoin, deduction, l2_21,
-                             l2_22, l2_25, l2_26, lemma, pair_to_biconditional,
+                             conj_reassociation, conjoin, deduction, l2_18,
+                             l2_21, l2_22, l2_25, l2_26, lemma,
+                             pair_to_biconditional,
                              reflexive_pair, split_conjunction,
                              substitute_equivalents, _deduction_body,
                              _inject, _into, _reroute, _route)
@@ -503,6 +504,30 @@ class TestRouter:
         d = b.build(conclusion=out)
         assert check(d) == [] and d.conclusion == target
         assert d.hypotheses == frozenset([parse("p1 -> p2"), parse("p1 v p2")])
+
+    def test_into_a_child_of_the_target_is_one_injection(self):
+        b = ProofBuilder(CalculusId.ID)
+        line = _into(b, b.hyp(parse("p1 -> p2")), parse("p1 v p2"))
+        assert b.steps[line] == AxiomStep(SchemeId.AX4, parse("p1 -> p1 v p2"))
+
+    @pytest.mark.parametrize("c,a,bf,most", [
+        (Conj(P1, P2), P1, P2, 17), (Conj(P1, P1), P1, P1, 13)],
+        ids=["p1&p2", "p1&p1"])
+    def test_2_25_forward_injects_c_beside_a_and_b(self, c, a, bf, most):
+        # c = a & b is a child of each side c v a, c v b: one Ax4 step,
+        # not a route through the a & b projection line
+        d = lemma(LemmaId.L2_25, [c, a, bf], CalculusId.P).forward
+        assert d.conclusion == Impl(Disj(c, Conj(a, bf)),
+                                    Conj(Disj(c, a), Disj(c, bf)))
+        assert len(d) <= most
+
+    def test_case_split_of_a_disjunctive_side_is_routed(self):
+        # 2.18 with b = p1 v p2: the router splits b by Ax6 over Ax4/Ax5
+        # lines, with no Ax1/Ax2 identity of b
+        d = l2_18(P3, parse("p1 v p2"), CalculusId.ID)
+        assert check(d) == [] and d.conclusion == parse("p1 v p2")
+        schemes = {s.scheme for s in d.steps if isinstance(s, AxiomStep)}
+        assert schemes <= {SchemeId.AX4, SchemeId.AX5, SchemeId.AX6}
 
     def test_missing_leaf_is_a_tactic_error(self):
         with pytest.raises(TacticError):
