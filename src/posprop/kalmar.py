@@ -37,7 +37,7 @@ from .kernel import (AxiomStep, CalculusId, Derivation, HypStep, SchemeId,
 from .semantics import evaluate, find_countermodel
 from .tactics import (ProofBuilder, TacticError, _compose, _conj_intro,
                       _deduction_body, _into, _reroute, _route, deduction, l2_5,
-                      l2_13, l2_17, l2_18, l2_25)
+                      l2_13, l2_17, l2_25)
 
 
 class NotTautology(ValueError):
@@ -273,7 +273,8 @@ def eliminate(a: Formula, calc: CalculusId) -> Derivation:
     true atoms, J the false ones.  With J the node's false atoms, the
     B-true child is discharged by DT to B -> (J)^a, the B-false child
     concludes B v (J)^a (B is R-least in J + B), and the two resolve by
-    the 2.18 schema into (J)^a from the node's true atoms.
+    2.18's case split, routed in place, into (J)^a from the node's true
+    atoms.
 
     Only what the proof cites is built.  The B-true child comes first; if
     it never cites B (builders prune, so a hypothesis line present is a
@@ -313,8 +314,7 @@ def eliminate(a: Formula, calc: CalculusId) -> Derivation:
         b = ProofBuilder(calc)
         i_false = b.include(d_false)
         i_imp = b.include(discharged)
-        out = b.include(l2_18(b1, x, calc),
-                        hyp_map={Disj(b1, x): i_false, Impl(b1, x): i_imp})
+        out = _reroute(b, i_false, x, {b1: i_imp})     # 2.18, in place
         return b.build(conclusion=out, hypotheses=d_false.hypotheses)
 
     return node(len(ordered))

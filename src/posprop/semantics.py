@@ -55,14 +55,11 @@ def is_tautology(f: Formula) -> bool:
 
 def entailment_countermodel(hyps, f: Formula) -> Optional[dict]:
     """First assignment making every hypothesis true and f false, or None
-    if f is a tautological consequence of hyps."""
-    relevant = set(atoms_of(f))
-    for h in hyps:
-        relevant |= atoms_of(h)
-    for v in assignments_over(relevant):
-        if all(evaluate(v, h) for h in hyps) and not evaluate(v, f):
-            return v
-    return None
+    if f is a tautological consequence of hyps: the first countermodel of
+    the chain h1 -> ... -> hn -> f, over the same atoms."""
+    for h in reversed(list(hyps)):
+        f = Impl(h, f)
+    return find_countermodel(f)
 
 
 def entails(hyps, f: Formula) -> bool:

@@ -29,6 +29,7 @@ halves.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from enum import Enum
 
@@ -526,12 +527,11 @@ def l2_14(a, bf, c, calculus=CalculusId.ID) -> Derivation:
     return b.build(conclusion=_reroute(b, ca, Disj(bf, Impl(c, a))))
 
 
-def l2_15(a_list, bf, calculus=CalculusId.ID) -> EquivalencePair:
-    a_list = list(a_list)
-    if not a_list:
+def l2_15(*formulas, calculus=CalculusId.ID) -> EquivalencePair:
+    if len(formulas) < 2:
         raise TacticError("2.15 needs at least one leading disjunct")
-    left = Disj(disj_chain(a_list), bf)
-    right = disj_chain(a_list + [bf])
+    left = Disj(disj_chain(formulas[:-1]), formulas[-1])
+    right = disj_chain(formulas)
 
     def one_way(src: Formula, dst: Formula) -> Derivation:
         b = ProofBuilder(calculus)
@@ -559,8 +559,11 @@ def l2_17(a, bf, c, calculus=CalculusId.ID) -> Derivation:
     h_or = b.hyp(Disj(a, bf))
     h_ca = b.hyp(Impl(c, a))
     h_bc = b.hyp(Impl(bf, c))
-    ba = _compose(b, h_bc, h_ca)
-    d = b.build(conclusion=_reroute(b, h_or, a, {bf: ba}))
+    # a disjunct bf of a is injected: a leaf bf -> a would cite h_bc, and
+    # discharging bf -> c would then lift the whole split of a
+    leaves = ({} if _occurs_as_disjunct(bf, a)
+              else {bf: _compose(b, h_bc, h_ca)})
+    d = b.build(conclusion=_reroute(b, h_or, a, leaves))
     return _deduction_body(d, Impl(bf, c))
 
 
@@ -640,12 +643,11 @@ def conj_reassociation(source: Formula, target: Formula,
     return EquivalencePair(one_way(source, target), one_way(target, source))
 
 
-def l2_23(a_list, bf, calculus=CalculusId.IC) -> EquivalencePair:
-    a_list = list(a_list)
-    if not a_list:
+def l2_23(*formulas, calculus=CalculusId.IC) -> EquivalencePair:
+    if len(formulas) < 2:
         raise TacticError("2.23 needs at least one leading conjunct")
-    left = Conj(conj_chain(a_list), bf)
-    right = conj_chain(a_list + [bf])
+    left = Conj(conj_chain(formulas[:-1]), formulas[-1])
+    right = conj_chain(formulas)
     if left == right:
         return reflexive_pair(left, calculus)
     return conj_reassociation(left, right, calculus)
@@ -797,60 +799,40 @@ def substitute_equivalents(c: Formula, path,
 # the LemmaId dispatch surface
 
 class LemmaId(Enum):
-    L2_5 = "2.5"
-    L2_6 = "2.6"
-    L2_7 = "2.7"
-    L2_8 = "2.8"
-    L2_9 = "2.9"
-    L2_10 = "2.10"
-    L2_11 = "2.11"
-    L2_12 = "2.12"
-    L2_13 = "2.13"
-    L2_14 = "2.14"
-    L2_15 = "2.15"
-    L2_16 = "2.16"
-    L2_17 = "2.17"
-    L2_18 = "2.18"
-    L2_19 = "2.19"
+    """The paper's lemmas, each stated once: its number and its builder,
+    whose parameters before `calculus` are its formula arguments (at least
+    two for a variadic one) and whose `calculus` default is its least
+    calculus.  2.20 and 2.24 are operations and have no builder."""
+
+    def __new__(cls, number: str, builder=None):
+        member = object.__new__(cls)
+        member._value_ = number
+        member.builder = builder
+        return member
+
+    L2_5 = "2.5", l2_5
+    L2_6 = "2.6", l2_6
+    L2_7 = "2.7", l2_7
+    L2_8 = "2.8", l2_8
+    L2_9 = "2.9", l2_9
+    L2_10 = "2.10", l2_10
+    L2_11 = "2.11", l2_11
+    L2_12 = "2.12", l2_12
+    L2_13 = "2.13", l2_13
+    L2_14 = "2.14", l2_14
+    L2_15 = "2.15", l2_15
+    L2_16 = "2.16", l2_16
+    L2_17 = "2.17", l2_17
+    L2_18 = "2.18", l2_18
+    L2_19 = "2.19", l2_19
     L2_20 = "2.20"
-    L2_21 = "2.21"
-    L2_22 = "2.22"
-    L2_23 = "2.23"
+    L2_21 = "2.21", l2_21
+    L2_22 = "2.22", l2_22
+    L2_23 = "2.23", l2_23
     L2_24 = "2.24"
-    L2_25 = "2.25"
-    L2_26 = "2.26"
-    L5_1 = "5.1"
-
-
-# builder, number of formula arguments (None for the list forms below) and
-# least calculus; the ids absent here, L2_20 and L2_24, are operations
-_LEMMAS = {
-    LemmaId.L2_5: (l2_5, 1, CalculusId.I),
-    LemmaId.L2_6: (l2_6, 3, CalculusId.I),
-    LemmaId.L2_7: (l2_7, 2, CalculusId.I),
-    LemmaId.L2_8: (l2_8, 2, CalculusId.I),
-    LemmaId.L2_9: (l2_9, 2, CalculusId.I),
-    LemmaId.L2_10: (l2_10, 3, CalculusId.I),
-    LemmaId.L2_11: (l2_11, 2, CalculusId.ID),
-    LemmaId.L2_12: (l2_12, 4, CalculusId.ID),
-    LemmaId.L2_13: (l2_13, 3, CalculusId.ID),
-    LemmaId.L2_14: (l2_14, 3, CalculusId.ID),
-    LemmaId.L2_15: (l2_15, None, CalculusId.ID),
-    LemmaId.L2_16: (l2_16, None, CalculusId.ID),
-    LemmaId.L2_17: (l2_17, 3, CalculusId.ID),
-    LemmaId.L2_18: (l2_18, 2, CalculusId.ID),
-    LemmaId.L2_19: (l2_19, 2, CalculusId.ID),
-    LemmaId.L2_21: (l2_21, 3, CalculusId.IC),
-    LemmaId.L2_22: (l2_22, 3, CalculusId.IC),
-    LemmaId.L2_23: (l2_23, None, CalculusId.IC),
-    LemmaId.L2_25: (l2_25, 3, CalculusId.P),
-    LemmaId.L2_26: (l2_26, 3, CalculusId.P),
-    LemmaId.L5_1: (l5_1, 3, CalculusId.I),
-}
-
-# the pairs the paper states as theses ⊢ A -> B and ⊢ B -> A
-_THESES = {LemmaId.L2_21, LemmaId.L2_22, LemmaId.L2_23, LemmaId.L2_25,
-           LemmaId.L2_26}
+    L2_25 = "2.25", l2_25
+    L2_26 = "2.26", l2_26
+    L5_1 = "5.1", l5_1
 
 
 def lemma(lemma_id: LemmaId, args, target: CalculusId):
@@ -866,12 +848,13 @@ def lemma(lemma_id: LemmaId, args, target: CalculusId):
     """
     if not isinstance(lemma_id, LemmaId):
         raise TacticError(f"lemma_id must be a LemmaId, not {lemma_id!r}")
-    if lemma_id not in _LEMMAS:
+    if lemma_id.builder is None:
         raise TacticError(
             f"{lemma_id.value} is an operation, not a derivation schema; "
             "see pair_to_biconditional/biconditional_to_pair and "
             "conjoin/split_conjunction")
-    ctor, arity, minimum = _LEMMAS[lemma_id]
+    *formal, calculus = inspect.signature(lemma_id.builder).parameters.values()
+    minimum = calculus.default
     if not isinstance(target, CalculusId):
         raise TacticError(f"target must be a CalculusId, not {target!r}")
     if not target.extends(minimum):
@@ -882,30 +865,27 @@ def lemma(lemma_id: LemmaId, args, target: CalculusId):
             args = (list(sources), list(targets))
             formulas = args[0] + args[1]
         else:
-            formulas = list(args)
+            args = formulas = list(args)
     except (TypeError, ValueError):
         shape = ("two sequences of formulas, (sources, targets)"
                  if lemma_id is LemmaId.L2_16 else "a sequence of formulas")
         raise TacticError(f"{lemma_id.value} takes {shape}") from None
-    if arity is not None:
-        if len(formulas) != arity:
-            raise TacticError(
-                f"{lemma_id.value} takes {arity} formulas, got {len(formulas)}")
-        args = formulas
-    elif lemma_id is not LemmaId.L2_16:
+    if formal[0].kind is inspect.Parameter.VAR_POSITIONAL:
         if len(formulas) < 2:
             raise TacticError(f"{lemma_id.value} needs at least two formulas")
-        args = (formulas[:-1], formulas[-1])
+    elif lemma_id is not LemmaId.L2_16 and len(formulas) != len(formal):
+        raise TacticError(
+            f"{lemma_id.value} takes {len(formal)} formulas, got {len(formulas)}")
     for f in formulas:
         if not isinstance(f, (Atom, Impl, Disj, Conj)):
             raise TacticError(f"{lemma_id.value} takes formulas, got {f!r}")
         if not target.fragment.admits(f):
             raise CheckError([StepError(-1, "fragment-violation",
                                         f"{f} outside {target.fragment.name}")])
-    result = ctor(*args, target)
-    if lemma_id in _THESES:
-        result = as_thesis(result)
+    result = lemma_id.builder(*args, calculus=target)
     if isinstance(result, EquivalencePair):
+        if lemma_id is not LemmaId.L2_15:
+            result = as_thesis(result)
         verify(result.forward)
         verify(result.backward)
     else:

@@ -31,8 +31,8 @@ from .semantics import find_countermodel
 # the per-module tracer in perfbench/spans.py, which also wraps the
 # deduction body under the name transform._discharge
 from .tactics import (EquivalencePair, ProofBuilder, TacticError,
-                      compose_pairs, conjoin, conj_reassociation, deduction,
-                      l2_7, l2_8, l2_18, l2_19, l2_21, l2_22, l2_25, l2_26,
+                      _reroute, compose_pairs, conjoin, conj_reassociation,
+                      deduction, l2_7, l2_8, l2_19, l2_21, l2_22, l2_25, l2_26,
                       l5_1, reflexive_pair, substitute_equivalents)
 from .tactics import _deduction_body as _discharge
 
@@ -177,7 +177,7 @@ def _disj_as_impl_pair(x: Formula, y: Formula,
     b = ProofBuilder(calculus)
     h = b.hyp(disj)
     hi = b.hyp(Impl(x, y))
-    out = b.include(l2_18(x, y, calculus), hyp_map={disj: h, Impl(x, y): hi})
+    out = _reroute(b, h, y, {x: hi})                  # 2.18, in place
     fwd = _discharge(b.build(conclusion=out, hypotheses={disj, Impl(x, y)}),
                      Impl(x, y))
     bwd = l2_19(x, y, calculus)

@@ -66,6 +66,32 @@ GOLDEN_PAIRS = [
 ]
 
 
+# each schema's least calculus, with arguments it takes
+LEAST_CALCULUS = {
+    LemmaId.L2_5: (CalculusId.I, [P1]),
+    LemmaId.L2_6: (CalculusId.I, [P1, P2, P3]),
+    LemmaId.L2_7: (CalculusId.I, [P1, P2]),
+    LemmaId.L2_8: (CalculusId.I, [P1, P2]),
+    LemmaId.L2_9: (CalculusId.I, [P1, P2]),
+    LemmaId.L2_10: (CalculusId.I, [P1, P2, P3]),
+    LemmaId.L2_11: (CalculusId.ID, [P1, P2]),
+    LemmaId.L2_12: (CalculusId.ID, [P1, P2, P3, Atom(4)]),
+    LemmaId.L2_13: (CalculusId.ID, [P1, P2, P3]),
+    LemmaId.L2_14: (CalculusId.ID, [P1, P2, P3]),
+    LemmaId.L2_15: (CalculusId.ID, [P1, P2, P3]),
+    LemmaId.L2_16: (CalculusId.ID, ([P2, P1], [P1, P2])),
+    LemmaId.L2_17: (CalculusId.ID, [P1, P2, P3]),
+    LemmaId.L2_18: (CalculusId.ID, [P1, P2]),
+    LemmaId.L2_19: (CalculusId.ID, [P1, P2]),
+    LemmaId.L2_21: (CalculusId.IC, [P1, P2, P3]),
+    LemmaId.L2_22: (CalculusId.IC, [P1, P2, P3]),
+    LemmaId.L2_23: (CalculusId.IC, [P1, P2, P3]),
+    LemmaId.L2_25: (CalculusId.P, [P1, P2, P3]),
+    LemmaId.L2_26: (CalculusId.P, [P1, P2, P3]),
+    LemmaId.L5_1: (CalculusId.I, [P1, P2, P3]),
+}
+
+
 class TestDeduction:
     def test_trivial_hypothesis(self):
         d = hypothesis(CalculusId.I, P1)
@@ -223,6 +249,19 @@ class TestGoldenLemmas:
     def test_arity_checked(self):
         with pytest.raises(TacticError):
             lemma(LemmaId.L2_5, [P1, P2], CalculusId.I)
+
+    @pytest.mark.parametrize("lid", LEAST_CALCULUS, ids=lambda v: v.value)
+    def test_least_calculus(self, lid):
+        minimum, args = LEAST_CALCULUS[lid]
+        lemma(lid, args, minimum)          # kernel-checked by lemma()
+        for calc in CalculusId:
+            if not calc.extends(minimum):
+                with pytest.raises(TacticError):
+                    lemma(lid, args, calc)
+
+    def test_least_calculus_table_covers_every_schema(self):
+        operations = {LemmaId.L2_20, LemmaId.L2_24}
+        assert set(LEAST_CALCULUS) == set(LemmaId) - operations
 
     @pytest.mark.parametrize("lid,args,calc", [
         (LemmaId.L2_16, [P1, P2], CalculusId.ID),       # not two sequences
@@ -528,6 +567,16 @@ class TestRouter:
         assert check(d) == [] and d.conclusion == parse("p1 v p2")
         schemes = {s.scheme for s in d.steps if isinstance(s, AxiomStep)}
         assert schemes <= {SchemeId.AX4, SchemeId.AX5, SchemeId.AX6}
+
+    def test_2_17_injects_a_disjunct_b_of_a(self):
+        # b = p1 is a disjunct of a = p1 v p2: the router injects it, and
+        # no leaf b -> a cites the hypothesis b -> c that 2.17 discharges
+        d = lemma(LemmaId.L2_17, [parse("p1 v p2"), P1, P3], CalculusId.ID)
+        assert check(d) == []
+        assert d.hypotheses == frozenset([parse("(p1 v p2) v p1"),
+                                          parse("p3 -> p1 v p2")])
+        assert d.conclusion == parse("(p1 -> p3) -> p1 v p2")
+        assert len(d) <= 23
 
     def test_missing_leaf_is_a_tactic_error(self):
         with pytest.raises(TacticError):
