@@ -59,11 +59,10 @@ class LineCertificate:
 
 def _as_axiom(calc: CalculusId, hypotheses, goal: Formula):
     """goal as a one-step derivation from hypotheses when it instantiates
-    a scheme of calc, else None.  The schemes are tried in SchemeId order,
-    not in calc.schemes' order, which follows the hash seed: p1 -> p1 v p1
-    is an instance of both Ax4 and Ax5."""
-    for scheme in SchemeId:
-        if scheme in calc.schemes and _is_instance(scheme, goal):
+    a scheme of calc, else None.  calc.schemes is in SchemeId order, so
+    p1 -> p1 v p1, an instance of both Ax4 and Ax5, is proved by Ax4."""
+    for scheme in calc.schemes:
+        if _is_instance(scheme, goal):
             return Derivation(calc, hypotheses, (AxiomStep(scheme, goal),))
     return None
 

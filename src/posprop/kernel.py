@@ -13,8 +13,10 @@ The four calculi:
     P   Ax1-Ax9            full positive fragment
 
 with the single rule MP: from A -> B and A, infer B.  Each axiom scheme
-is stated once, in SCHEMES, as the constructor of its instances; builders
-call it, and match_scheme reads the instance it builds from distinct atoms.
+is stated once, as a SchemeId member carrying the constructor of its
+instances; builders call it, and match_scheme reads the instance it builds
+from distinct atoms.  Each calculus is its fragment, and has the schemes
+whose instances the fragment admits.
 """
 
 from __future__ import annotations
@@ -23,51 +25,40 @@ import inspect
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .formula import Atom, Conj, Disj, Formula, Fragment, Impl
 
 
 class SchemeId(Enum):
-    AX1 = "Ax1"
-    AX2 = "Ax2"
-    AX3 = "Ax3"
-    AX4 = "Ax4"
-    AX5 = "Ax5"
-    AX6 = "Ax6"
-    AX7 = "Ax7"
-    AX8 = "Ax8"
-    AX9 = "Ax9"
+    """The axiom schemes, each stated once: its label and the constructor
+    of its instances, whose parameters are its metavariables.  A member
+    also keeps the instance its constructor builds from the distinct atoms
+    p1, p2, ... (its pattern) and the metavariable each atom stands for."""
+
+    def __new__(cls, label: str, build):
+        member = object.__new__(cls)
+        member._value_ = label
+        member.build = build
+        member.metavariables = {Atom(i): name for i, name in
+                                enumerate(inspect.signature(build).parameters, 1)}
+        member.pattern = build(*member.metavariables)
+        return member
+
+    AX1 = "Ax1", lambda A, B: Impl(A, Impl(B, A))
+    AX2 = "Ax2", lambda A, B, C: Impl(Impl(A, Impl(B, C)),
+                                      Impl(Impl(A, B), Impl(A, C)))
+    AX3 = "Ax3", lambda A, B: Impl(Impl(Impl(A, B), A), A)  # Peirce's law
+    AX4 = "Ax4", lambda A, B: Impl(A, Disj(A, B))
+    AX5 = "Ax5", lambda A, B: Impl(A, Disj(B, A))
+    AX6 = "Ax6", lambda A, B, C: Impl(Impl(A, C),
+                                      Impl(Impl(B, C), Impl(Disj(A, B), C)))
+    AX7 = "Ax7", lambda A, B: Impl(Conj(A, B), A)
+    AX8 = "Ax8", lambda A, B: Impl(Conj(A, B), B)
+    AX9 = "Ax9", lambda A, B: Impl(A, Impl(B, Conj(A, B)))
 
     def __str__(self):
         return self.value
-
-
-# a scheme's parameters are its metavariables
-SCHEMES = {
-    SchemeId.AX1: lambda A, B: Impl(A, Impl(B, A)),
-    SchemeId.AX2: lambda A, B, C: Impl(Impl(A, Impl(B, C)),
-                                       Impl(Impl(A, B), Impl(A, C))),
-    SchemeId.AX3: lambda A, B: Impl(Impl(Impl(A, B), A), A),  # Peirce's law
-    SchemeId.AX4: lambda A, B: Impl(A, Disj(A, B)),
-    SchemeId.AX5: lambda A, B: Impl(A, Disj(B, A)),
-    SchemeId.AX6: lambda A, B, C: Impl(Impl(A, C),
-                                       Impl(Impl(B, C), Impl(Disj(A, B), C))),
-    SchemeId.AX7: lambda A, B: Impl(Conj(A, B), A),
-    SchemeId.AX8: lambda A, B: Impl(Conj(A, B), B),
-    SchemeId.AX9: lambda A, B: Impl(A, Impl(B, Conj(A, B))),
-}
-
-
-def _pattern(build) -> tuple:
-    """The instance the scheme's constructor builds from the distinct atoms
-    p1, p2, ..., and the metavariable (parameter name) each atom stands for."""
-    names = {Atom(i): name for i, name in
-             enumerate(inspect.signature(build).parameters, 1)}
-    return build(*names), names
-
-
-_PATTERNS = {scheme: _pattern(build) for scheme, build in SCHEMES.items()}
 
 
 def _match(p: Formula, g: Formula, names: dict, subst: dict) -> bool:
@@ -79,9 +70,8 @@ def _match(p: Formula, g: Formula, names: dict, subst: dict) -> bool:
 
 def match_scheme(scheme: SchemeId, f: Formula) -> Optional[dict]:
     """Substitution instantiating the scheme to f exactly, or None."""
-    pattern, names = _PATTERNS[scheme]
     subst: dict = {}
-    return subst if _match(pattern, f, names, subst) else None
+    return subst if _match(scheme.pattern, f, scheme.metavariables, subst) else None
 
 
 @lru_cache(maxsize=65536)
@@ -92,8 +82,7 @@ def _is_instance(scheme: SchemeId, f: Formula) -> bool:
 @lru_cache(maxsize=65536)
 def _instantiate(scheme: SchemeId, items: tuple) -> Formula:
     subst = dict(items)  # a missing metavariable raises KeyError(name)
-    names = _PATTERNS[scheme][1].values()
-    return SCHEMES[scheme](*(subst[name] for name in names))
+    return scheme.build(*(subst[name] for name in scheme.metavariables.values()))
 
 
 def instantiate_scheme(scheme: SchemeId, subst: dict) -> Formula:
@@ -102,20 +91,21 @@ def instantiate_scheme(scheme: SchemeId, subst: dict) -> Formula:
 
 
 class CalculusId(Enum):
-    I = (("AX1", "AX2", "AX3"), Fragment.IMPLICATIVE)
-    ID = (("AX1", "AX2", "AX3", "AX4", "AX5", "AX6"),
-          Fragment.IMPLICATIVE_DISJUNCTIVE)
-    IC = (("AX1", "AX2", "AX3", "AX7", "AX8", "AX9"),
-          Fragment.IMPLICATIVE_CONJUNCTIVE)
-    P = (("AX1", "AX2", "AX3", "AX4", "AX5", "AX6", "AX7", "AX8", "AX9"),
-         Fragment.POSITIVE)
+    """A calculus is its fragment: its schemes are those whose pattern the
+    fragment admits, in SchemeId order.  Its name labels it in proof files
+    and on the command line."""
 
-    def __init__(self, schemes, fragment):
-        self.schemes = frozenset(SchemeId[s] for s in schemes)
+    I = Fragment.IMPLICATIVE
+    ID = Fragment.IMPLICATIVE_DISJUNCTIVE
+    IC = Fragment.IMPLICATIVE_CONJUNCTIVE
+    P = Fragment.POSITIVE
+
+    def __init__(self, fragment: Fragment):
         self.fragment = fragment
+        self.schemes = tuple(s for s in SchemeId if fragment.admits(s.pattern))
 
     def extends(self, other: "CalculusId") -> bool:
-        return other.schemes <= self.schemes and self.fragment.includes(other.fragment)
+        return self.fragment.includes(other.fragment)
 
     def __str__(self):
         return self.name
@@ -142,7 +132,6 @@ class MPStep:
     formula: Formula
 
 
-Step = Union[AxiomStep, HypStep, MPStep]
 _STEP_TYPES = (AxiomStep, HypStep, MPStep)
 _NODE_TYPES = (Atom, Impl, Disj, Conj)  # the bare Formula base has no mask
 

@@ -36,7 +36,7 @@ from enum import Enum
 from .formula import (Atom, Conj, Disj, Formula, Impl, conj_chain,
                       disj_chain, subformula_at)
 from .kernel import (AxiomStep, CalculusId, CheckError, Derivation, HypStep,
-                     MPStep, SCHEMES, SchemeId, StepError, hypothesis, verify)
+                     MPStep, SchemeId, StepError, hypothesis, verify)
 from .kernel import prune as _prune
 
 
@@ -69,7 +69,7 @@ class ProofBuilder:
         return self._add(HypStep(f))
 
     def axiom(self, scheme: SchemeId, **subst: Formula) -> int:
-        return self._add(AxiomStep(scheme, SCHEMES[scheme](**subst)))
+        return self._add(AxiomStep(scheme, scheme.build(**subst)))
 
     def mp(self, major: int, minor: int) -> int:
         imp = self.steps[major].formula

@@ -222,7 +222,7 @@ def _translate(d: Derivation) -> Derivation:
             continue
         subst = match_scheme(step.scheme, step.formula)
         sub = {k: tau(v) for k, v in subst.items()}
-        if step.scheme in (SchemeId.AX1, SchemeId.AX2, SchemeId.AX3):
+        if step.scheme in CalculusId.I.schemes:
             lines[i] = b.axiom(step.scheme, **sub)
         elif step.scheme is SchemeId.AX4:
             lines[i] = b.include(l2_7(sub["A"], sub["B"], CalculusId.I))

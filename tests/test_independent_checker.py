@@ -57,7 +57,7 @@ def _swap_premises(d, rng):
 def _other_scheme(d, rng):
     i = rng.choice([i for i, s in enumerate(d.steps) if type(s) is AxiomStep])
     s = d.steps[i]
-    schemes = sorted(d.calculus.schemes - {s.scheme}, key=lambda x: x.value)
+    schemes = [x for x in d.calculus.schemes if x is not s.scheme]
     return _replace(d, i, AxiomStep(rng.choice(schemes), s.formula))
 
 

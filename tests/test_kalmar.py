@@ -320,10 +320,11 @@ def test_proofs_do_not_depend_on_atom_creation_order():
 
 
 def test_proofs_do_not_depend_on_hash_seed():
-    # SchemeId members hash by name, so a frozenset of schemes iterates in
-    # an order set by the hash seed: CalculusId.ID.schemes has Ax5 before
-    # Ax4 under seed 0 and after it under seed 1.  Each formula below has
-    # a goal or a line target that instantiates both Ax4 and Ax5.
+    # Each formula below has a goal or a line target that instantiates both
+    # Ax4 and Ax5, and its proof must take Ax4 under every hash seed.
+    # SchemeId members hash by name, so any set or dict of schemes on the
+    # way would iterate in an order set by the seed; CalculusId.ID.schemes
+    # is a tuple in SchemeId order, Ax4 first.
     formulas = ["p1 -> p1 v p1",
                 "p2 -> p1 -> p1 v p1",
                 "(p2 -> p2 v p2) v (p2 -> p1)",

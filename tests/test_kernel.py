@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 from posprop.formula import (Atom, Conj, Disj, Formula, Fragment, Impl,
                              parse, replace_at, subformula_at)
 from posprop.kalmar import build_line, prove
-from posprop.kernel import (SCHEMES, AxiomStep, CalculusId, CheckError,
-                            Derivation, HypStep, MPStep, SchemeId, check,
-                            hypothesis, instantiate_scheme, match_scheme,
-                            prune, verify, _instantiate, _is_instance)
+from posprop.kernel import (AxiomStep, CalculusId, CheckError, Derivation,
+                            HypStep, MPStep, SchemeId, check, hypothesis,
+                            instantiate_scheme, match_scheme, prune, verify,
+                            _instantiate, _is_instance)
 from posprop.proofio import (ProofFormatError, from_json, read_text, to_json,
                              write_text)
 from posprop.semantics import entails
@@ -34,14 +34,14 @@ def nodes(f, path=()):
 def pattern_nodes(scheme):
     """The nodes of the scheme's instance built from distinct atoms, in
     which each atom stands for one metavariable."""
-    n = len(inspect.signature(SCHEMES[scheme]).parameters)
-    return nodes(SCHEMES[scheme](*map(Atom, range(1, n + 1))))
+    n = len(inspect.signature(scheme.build).parameters)
+    return nodes(scheme.build(*map(Atom, range(1, n + 1))))
 
 
 def compound_subst(scheme):
     """Distinct compound formulas for the scheme's metavariables, keyed by
     the constructor's parameter names."""
-    names = inspect.signature(SCHEMES[scheme]).parameters
+    names = inspect.signature(scheme.build).parameters
     return dict(zip(names, map(parse, ("p1 v p2", "p2 -> p3", "p1 & p3"))))
 
 
@@ -74,7 +74,7 @@ class TestSchemes:
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_constructor_instance_matches_back(self, scheme):
         subst = compound_subst(scheme)
-        assert match_scheme(scheme, SCHEMES[scheme](**subst)) == subst
+        assert match_scheme(scheme, scheme.build(**subst)) == subst
 
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_broken_repeat_is_not_matched(self, scheme):
@@ -83,14 +83,14 @@ class TestSchemes:
         repeated = [path for g, path in atoms
                     if sum(h is g for h, _ in atoms) > 1]
         assert repeated, f"{scheme} repeats no metavariable"
-        instance = SCHEMES[scheme](**compound_subst(scheme))
+        instance = scheme.build(**compound_subst(scheme))
         for path in repeated:
             broken = replace_at(instance, path, parse("p4 -> p4"))
             assert match_scheme(scheme, broken) is None, path
 
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_changed_connective_is_not_matched(self, scheme):
-        instance = SCHEMES[scheme](**compound_subst(scheme))
+        instance = scheme.build(**compound_subst(scheme))
         other = {Impl: Disj, Disj: Conj, Conj: Impl}
         for g, path in pattern_nodes(scheme):
             if not isinstance(g, Atom):
@@ -109,10 +109,14 @@ class TestSchemes:
 
 class TestCalculi:
     def test_scheme_sets(self):
-        assert len(CalculusId.I.schemes) == 3
-        assert len(CalculusId.ID.schemes) == 6
-        assert len(CalculusId.IC.schemes) == 6
-        assert len(CalculusId.P.schemes) == 9
+        labels = {c: [s.value for s in c.schemes] for c in CalculusId}
+        assert labels == {
+            CalculusId.I: ["Ax1", "Ax2", "Ax3"],
+            CalculusId.ID: ["Ax1", "Ax2", "Ax3", "Ax4", "Ax5", "Ax6"],
+            CalculusId.IC: ["Ax1", "Ax2", "Ax3", "Ax7", "Ax8", "Ax9"],
+            CalculusId.P: ["Ax1", "Ax2", "Ax3", "Ax4", "Ax5", "Ax6",
+                           "Ax7", "Ax8", "Ax9"]}
+        assert all(type(c.schemes) is tuple for c in CalculusId)
 
     def test_extends(self):
         assert CalculusId.P.extends(CalculusId.ID)
@@ -120,8 +124,14 @@ class TestCalculi:
         assert not CalculusId.ID.extends(CalculusId.IC)
         assert CalculusId.I.extends(CalculusId.I)
 
+    @pytest.mark.parametrize("a", list(CalculusId), ids=str)
+    @pytest.mark.parametrize("b", list(CalculusId), ids=str)
+    def test_extends_is_scheme_inclusion(self, a, b):
+        assert a.extends(b) == (set(b.schemes) <= set(a.schemes))
+
     def test_fragments(self):
         assert CalculusId.IC.fragment is Fragment.IMPLICATIVE_CONJUNCTIVE
+        assert all(c.value is c.fragment for c in CalculusId)
 
 
 class TestCheck:
