@@ -16,15 +16,17 @@ The central tool is ProofBuilder, which accumulates steps, deduplicates
 lines by formula (a sound peephole: an identical earlier line under the
 same hypotheses proves the same thing), splices existing derivations with
 index re-offsetting, and drops the steps a conclusion does not cite when
-it freezes a derivation.  Three moves on its lines are written once and
-used by every builder: _conj_intro (Ax9 introduction), _conj_elim
-(Ax7/Ax8 elimination) and _route, which carries one disjunction tree
-into another by Ax4/Ax5 injections and Ax6 splits (_reroute and _into
-apply it to a line).  Every Ax4, Ax5 and Ax6 step a builder makes
-comes from _route: case analysis on x v y is _reroute with the lines
-x -> t and y -> t as leaves.  The biconditional helpers of Lemma 2.20
-are conjoin and split_conjunction of an equivalence pair's two thesis
-halves.
+it freezes a derivation; freezing appends nothing, so a builder can be
+frozen at several lines.  The moves on its lines are each written once:
+_conj_intro (Ax9), _conj_elim (Ax7/Ax8), and _route, which carries one
+disjunction tree into another by Ax4/Ax5 injections and Ax6 splits
+(_reroute and _into apply it to a line; case analysis on x v y is
+_reroute with the lines x -> t and y -> t as leaves).  Conjunction trees
+are torn down only by _extract_conjuncts and rebuilt only by
+_rebuild_conjunction (conjoin, split_conjunction, conj_reassociation and
+the & congruence).  _congruence has one case per connective.  The
+biconditional helpers of Lemma 2.20 are conjoin and split_conjunction of
+an equivalence pair's two thesis halves.
 """
 
 from __future__ import annotations
@@ -99,16 +101,17 @@ class ProofBuilder:
 
     def build(self, conclusion: int = None, hypotheses=None) -> Derivation:
         """Freeze into an unchecked derivation of the conclusion line (by
-        default the last line), keeping only the steps it cites.
+        default the last line), keeping only the steps it cites.  The
+        builder is left as it was, so it can be frozen again.
         Hypotheses default to every hypothesis line, cited or not; they are
         taken before the uncited steps are dropped, because callers go on to
         discharge hypotheses their conclusion may not cite."""
-        if conclusion is not None and conclusion != len(self.steps) - 1:
-            self.steps.append(self.steps[conclusion])
+        if conclusion is None:
+            conclusion = len(self.steps) - 1
         if hypotheses is None:
             hypotheses = {s.formula for s in self.steps if isinstance(s, HypStep)}
         return _prune(Derivation(self.calculus, frozenset(hypotheses),
-                                 tuple(self.steps)))
+                                 tuple(self.steps[:conclusion + 1])))
 
 
 def _identity(b: ProofBuilder, a: Formula) -> int:
@@ -395,7 +398,7 @@ def conjoin(ds, calculus: CalculusId = None) -> Derivation:
 
 def split_conjunction(d: Derivation, n: int) -> list:
     """From closed ⊢ B1 & ... & Bn recover closed ⊢ Bj for each j
-    (unchecked)."""
+    (unchecked), each frozen from one tear-down of the conjunction."""
     if d.hypotheses:
         raise TacticError("split requires a closed derivation")
     if n < 1:
@@ -409,16 +412,10 @@ def split_conjunction(d: Derivation, n: int) -> list:
         f = f.right
     parts.append(f)
 
-    results = []
-    for j in range(n):
-        b = ProofBuilder(d.calculus)
-        cur = b.include(d)
-        for _ in range(j):
-            cur = _conj_elim(b, cur, SchemeId.AX8)
-        if j < n - 1:
-            cur = _conj_elim(b, cur, SchemeId.AX7)
-        results.append(b.build(conclusion=cur, hypotheses=()))
-    return results
+    b = ProofBuilder(d.calculus)
+    table: dict = {}
+    _extract_conjuncts(b, b.include(d), table)
+    return [b.build(conclusion=table[part], hypotheses=()) for part in parts]
 
 
 def pair_to_biconditional(p: EquivalencePair) -> Derivation:
@@ -647,10 +644,7 @@ def l2_23(*formulas, calculus=CalculusId.IC) -> EquivalencePair:
     if len(formulas) < 2:
         raise TacticError("2.23 needs at least one leading conjunct")
     left = Conj(conj_chain(formulas[:-1]), formulas[-1])
-    right = conj_chain(formulas)
-    if left == right:
-        return reflexive_pair(left, calculus)
-    return conj_reassociation(left, right, calculus)
+    return conj_reassociation(left, conj_chain(formulas), calculus)
 
 
 def _distribution(c, a, bf, calculus, c_first: bool) -> EquivalencePair:
@@ -732,8 +726,7 @@ def _congruence(context: Formula, direction: str,
                 pair: EquivalencePair) -> EquivalencePair:
     """Lift a derivability pair a ⇄ b one level: replace the child of
     `context` on `direction` (a) and produce the pair between the contexts."""
-    a, bf = pair.left, pair.right
-    calculus = pair.calculus
+    bf, calculus = pair.right, pair.calculus
     other = context.right if direction == "left" else context.left
     ctor = type(context)
     new_context = ctor(*((bf, other) if direction == "left" else (other, bf)))
@@ -742,36 +735,29 @@ def _congruence(context: Formula, direction: str,
                 inner_bwd: Derivation) -> Derivation:
         # inner_fwd: {old child} ⊢ new child; inner_bwd: the converse
         old_child = subformula_at(src, (direction,))
-        new_sub = subformula_at(dst, (direction,))
+        new_child = subformula_at(dst, (direction,))
         b = ProofBuilder(calculus)
         h = b.hyp(src)
-        if ctor is Impl and direction == "right":
-            hd = b.hyp(other)
-            got = b.mp(h, hd)
-            out = b.include(inner_fwd, hyp_map={old_child: got})
+        if ctor is Impl:
+            # assume the new antecedent, carry it back, MP, carry forward
+            got = b.hyp(dst.left)
+            if direction == "left":
+                got = b.include(inner_bwd, hyp_map={new_child: got})
+            out = b.mp(h, got)
+            if direction == "right":
+                out = b.include(inner_fwd, hyp_map={old_child: out})
             return _deduction_body(
-                b.build(conclusion=out, hypotheses={src, other}), other)
-        if ctor is Impl and direction == "left":
-            hd = b.hyp(new_sub)
-            back = b.include(inner_bwd, hyp_map={new_sub: hd})
-            out = b.mp(h, back)
-            return _deduction_body(
-                b.build(conclusion=out, hypotheses={src, new_sub}), new_sub)
+                b.build(conclusion=out, hypotheses={src, dst.left}), dst.left)
         if ctor is Disj:
             child_imp = b.include(_deduction_body(inner_fwd, old_child))
             out = _reroute(b, h, dst, {old_child: _into(b, child_imp, dst)})
             return b.build(conclusion=out, hypotheses={src})
-        if ctor is Conj:
-            first = _conj_elim(b, h, SchemeId.AX7)
-            second = _conj_elim(b, h, SchemeId.AX8)
-            if direction == "right":
-                out = _conj_intro(b, first, b.include(
-                    inner_fwd, hyp_map={old_child: second}))
-            else:
-                out = _conj_intro(b, b.include(
-                    inner_fwd, hyp_map={old_child: first}), second)
-            return b.build(conclusion=out, hypotheses={src})
-        raise TacticError(f"unsupported context {context}")
+        table: dict = {}                  # &: tear down, swap, rebuild
+        _extract_conjuncts(b, h, table)
+        table[new_child] = b.include(inner_fwd,
+                                     hyp_map={old_child: table[old_child]})
+        return b.build(conclusion=_rebuild_conjunction(b, dst, table),
+                       hypotheses={src})
 
     fwd = one_way(context, new_context, pair.forward, pair.backward)
     bwd = one_way(new_context, context, pair.backward, pair.forward)

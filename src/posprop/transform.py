@@ -31,8 +31,8 @@ from .semantics import find_countermodel
 # the per-module tracer in perfbench/spans.py, which also wraps the
 # deduction body under the name transform._discharge
 from .tactics import (EquivalencePair, ProofBuilder, TacticError,
-                      _reroute, compose_pairs, conjoin, conj_reassociation,
-                      deduction, l2_7, l2_8, l2_19, l2_21, l2_22, l2_25, l2_26,
+                      compose_pairs, conjoin, conj_reassociation, deduction,
+                      l2_7, l2_8, l2_18, l2_19, l2_21, l2_22, l2_25, l2_26,
                       l5_1, reflexive_pair, substitute_equivalents)
 from .tactics import _deduction_body as _discharge
 
@@ -120,7 +120,7 @@ def gamma_equivalence(a: Formula,
     if not calculus.fragment.admits(a):
         raise TacticError(f"{a} outside the {calculus} fragment")
     acc = reflexive_pair(a, calculus)
-    for _, path in gamma(a).trace:
+    while (path := _find_redex(acc.right)) is not None:
         (_, _, lemma), leaves = _match_rule(subformula_at(acc.right, path))
         acc = _rewrite(acc, path, lemma(*leaves, calculus))
     return acc
@@ -171,17 +171,10 @@ def tau(a: Formula) -> Formula:
 
 def _disj_as_impl_pair(x: Formula, y: Formula,
                        calculus: CalculusId) -> EquivalencePair:
-    """Derivability pair between x v y and (x -> y) -> y."""
-    disj = Disj(x, y)
-    encoded = Impl(Impl(x, y), y)
-    b = ProofBuilder(calculus)
-    h = b.hyp(disj)
-    hi = b.hyp(Impl(x, y))
-    out = _reroute(b, h, y, {x: hi})                  # 2.18, in place
-    fwd = _discharge(b.build(conclusion=out, hypotheses={disj, Impl(x, y)}),
-                     Impl(x, y))
-    bwd = l2_19(x, y, calculus)
-    return EquivalencePair(fwd, bwd)
+    """Derivability pair between x v y and (x -> y) -> y: 2.18 with x -> y
+    discharged, and 2.19."""
+    return EquivalencePair(_discharge(l2_18(x, y, calculus), Impl(x, y)),
+                           l2_19(x, y, calculus))
 
 
 def tau_equivalence(a: Formula,

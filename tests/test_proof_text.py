@@ -1,0 +1,32 @@
+"""Synthesis output is pinned byte for byte.
+
+A change that alters proofs on purpose updates PINNED and says which
+proofs grew.  The hash is SHA-256 over the concatenated `write_text` of
+every proof, in enumeration order."""
+
+import hashlib
+
+from posprop.formula import Fragment, enumerate_formulas
+from posprop.kalmar import prove
+from posprop.kernel import CalculusId
+from posprop.proofio import write_text
+from posprop.semantics import is_tautology
+from posprop.transform import prove_I
+
+PINNED = "facadf82f6c04d47e541c11a152d78f9947f35927864b3370fed86554a22d151"
+
+
+def _tautologies(max_connectives, atom_indices, fragment):
+    return [f for f in enumerate_formulas(max_connectives, atom_indices, fragment)
+            if is_tautology(f)]
+
+
+def test_synthesis_proof_text_is_pinned():
+    sweep = _tautologies(3, [1, 2], Fragment.IMPLICATIVE_DISJUNCTIVE)
+    implicative = _tautologies(3, [1, 2, 3], Fragment.IMPLICATIVE)
+    assert (len(sweep), len(implicative)) == (346, 156)
+    h = hashlib.sha256()
+    for d in ([prove(f, CalculusId.ID) for f in sweep]
+              + [prove_I(f) for f in implicative]):
+        h.update(write_text(d).encode())
+    assert h.hexdigest() == PINNED

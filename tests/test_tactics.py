@@ -231,6 +231,13 @@ class TestGoldenLemmas:
         with pytest.raises(TacticError):
             lemma(LemmaId.L2_16, ([], [P1]), CalculusId.ID)
 
+    def test_l2_23_of_two_formulas_is_reflexive(self):
+        # conj_reassociation of a formula with itself is {a} ⊢ a both ways
+        f = parse("p1 & p2")
+        assert conj_reassociation(f, f) == reflexive_pair(f, CalculusId.IC)
+        p = lemma(LemmaId.L2_23, [P1, P2], CalculusId.IC)
+        assert p.left == p.right == f
+
     def test_l2_15_singleton_is_reflexive(self):
         p = lemma(LemmaId.L2_15, [P1, P2], CalculusId.ID)
         assert p.left == p.right == parse("p1 v p2")
@@ -436,6 +443,14 @@ class TestConjunctions:
         assert [x.conclusion for x in back] == [p.conclusion for p in parts]
         assert all(not x.hypotheses for x in back)
 
+    def test_split_of_a_repeated_conjunct(self):
+        a, bf = self.closed("p1"), self.closed("p2")
+        parts = split_conjunction(conjoin([a, a, bf]), 3)
+        assert [x.conclusion for x in parts] == [a.conclusion, a.conclusion,
+                                                 bf.conclusion]
+        assert all(not x.hypotheses and check(x) == [] for x in parts)
+        assert len(parts[1]) <= len(parts[0])
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_split_needs_a_positive_count(self, n):
         d = conjoin([self.closed("p1"), self.closed("p2")])
@@ -487,12 +502,28 @@ class TestProofBuilder:
         assert d.conclusion == P2
         assert d.hypotheses == frozenset([parse("p1 v p2"), parse("p1 -> p2")])
 
-    def test_build_repeats_conclusion_line(self):
+    def test_build_freezes_a_non_last_line(self):
         b = ProofBuilder(CalculusId.I)
         first = b.axiom(SchemeId.AX1, A=P1, B=P2)
         b.axiom(SchemeId.AX1, A=P2, B=P1)
+        steps = list(b.steps)
         d = b.build(conclusion=first)
         assert d.conclusion == parse("p1 -> p2 -> p1")
+        assert b.steps == steps
+
+    def test_second_freeze_matches_a_fresh_builder(self):
+        def moves(b):
+            first = b.axiom(SchemeId.AX1, A=P1, B=P2)
+            b.mp(b.axiom(SchemeId.AX1, A=parse("p1 -> p2 -> p1"), B=P3), first)
+            return first
+
+        b = ProofBuilder(CalculusId.I)
+        first = moves(b)
+        assert b.build(conclusion=first) == b.build(conclusion=first)
+        fresh = ProofBuilder(CalculusId.I)
+        moves(fresh)
+        assert b.build() == fresh.build()
+        assert b.build().conclusion == parse("p3 -> p1 -> p2 -> p1")
 
 
 class TestRouter:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from posprop.formula import (Atom, Conj, Fragment, Impl, atoms_of,
+from posprop.formula import (Atom, Conj, Disj, Fragment, Impl, atoms_of,
                              enumerate_formulas, fragment_of, parse)
 from posprop.kernel import CalculusId, check, proof_log, prune
 from posprop.semantics import assignments_over, evaluate, is_tautology
@@ -114,6 +114,36 @@ class TestDecompose:
         assert all(fragment_of(c) is Fragment.IMPLICATIVE
                    for c in dec.conjuncts)
         assert dec.equivalence.calculus is CalculusId.IC
+
+
+# One formula per congruence context: gamma's first rewrite sits at depth 1,
+# under the connective and on the side named; the bounds are the lengths of
+# the decompose halves when these tests were written.
+CONGRUENCE_CONTEXTS = [
+    ("p1 -> (p2 & p3 -> p1)", Impl, "right", 31, 31),
+    ("(p1 & p2 -> p3) -> p1", Impl, "left", 31, 31),
+    ("p1 v (p2 -> p3 & p1)", Disj, "right", 58, 71),
+    ("(p2 -> p3 & p1) v p1", Disj, "left", 58, 63),
+    ("p1 & (p2 -> p3 & p1)", Conj, "right", 23, 21),
+    ("(p2 -> p3 & p1) & p1", Conj, "left", 23, 21),
+]
+
+
+class TestCongruenceContexts:
+    @pytest.mark.parametrize("text,ctor,side,fwd_most,bwd_most",
+                             CONGRUENCE_CONTEXTS,
+                             ids=[f"{c.__name__}-{s}"
+                                  for _, c, s, _, _ in CONGRUENCE_CONTEXTS])
+    def test_decompose_through_one_context(self, text, ctor, side,
+                                           fwd_most, bwd_most):
+        f = parse(text)
+        assert type(f) is ctor and gamma(f).trace[0][1] == (side,)
+        dec = decompose(f)
+        pair = dec.equivalence
+        assert (pair.left, pair.right) == (f, dec.chain)
+        assert check(pair.forward) == [] and check(pair.backward) == []
+        assert len(pair.forward) <= fwd_most
+        assert len(pair.backward) <= bwd_most
 
 
 class TestTau:
