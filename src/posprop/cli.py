@@ -20,8 +20,7 @@ import argparse
 import sys
 from collections import Counter
 
-from .formula import (ParseError, enumerate_formulas, fragment_of, parse,
-                      pretty)
+from .formula import ParseError, enumerate_formulas, parse, pretty, r_key
 from .kernel import (AxiomStep, CalculusId, CheckError, check, verify)
 from .kalmar import NotTautology, prove
 from .proofio import (ProofFormatError, from_json, read_text, to_json,
@@ -76,7 +75,7 @@ def _cmd_check(args) -> int:
     if errors:
         print(*errors, sep="\n")
         return 1
-    hyps = ", ".join(pretty(h) for h in sorted(d.hypotheses, key=str)) or "(none)"
+    hyps = ", ".join(pretty(h) for h in sorted(d.hypotheses, key=r_key)) or "(none)"
     print(f"ok: {len(d)} steps in {d.calculus}; hypotheses: {hyps}; "
           f"conclusion: {pretty(d.conclusion)}")
     return 0
@@ -132,7 +131,7 @@ def _cmd_enumerate(args) -> int:
     atoms = list(range(1, args.atoms + 1))
     lengths = []
     total = 0
-    for f in enumerate_formulas(args.max_connectives, atoms, calculus.fragment):
+    for f in enumerate_formulas(args.max_connectives, atoms, calculus):
         total += 1
         try:
             lengths.append(len(_synthesize(f, calculus, "direct")))
@@ -152,7 +151,7 @@ def _cmd_stats(args) -> int:
     print(f"steps: {len(d)}")
     print(f"hypotheses: {len(d.hypotheses)}")
     print(f"conclusion: {pretty(d.conclusion)}")
-    print(f"fragment: {fragment_of(d.conclusion).name}")
+    print(f"fragment: {CalculusId(d.conclusion.mask)}")
     for scheme, n in sorted(by_scheme.items()):
         print(f"  {scheme}: {n}")
     return 0

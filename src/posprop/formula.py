@@ -1,4 +1,4 @@
-"""Formula AST, concrete syntax, fragments, and the fixed linear order R.
+"""Formula AST, concrete syntax and the fixed linear order R.
 
 Formulas are immutable trees over atoms ``p1, p2, ...`` and the three
 binary connectives ``->`` (implication), ``v`` (disjunction) and ``&``
@@ -9,14 +9,14 @@ The node classes Impl, Disj and Conj are the one statement of the
 connective vocabulary: each carries its ``symbol``, its ``precedence``
 (also its code in the order R) and its ``bit`` in the connective mask.
 The tokenizer, the parser and the printer read ``symbol`` and
-``precedence`` from them, and a Fragment is such a mask.
+``precedence`` from them.  A calculus (kernel.CalculusId) is such a mask,
+and ``CalculusId(f.mask)`` is the least calculus admitting f.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from enum import Enum
 from functools import lru_cache
 from typing import Iterator, Mapping
 
@@ -114,30 +114,6 @@ class Disj(_Binary):
 class Conj(_Binary):
     __slots__ = ()
     symbol, precedence, bit = "&", 3, 2
-
-
-class Fragment(Enum):
-    """Sublanguages of the positive language; each member's value is the
-    mask of the connective bits it allows (-> is always allowed)."""
-
-    IMPLICATIVE = Impl.bit
-    IMPLICATIVE_DISJUNCTIVE = Disj.bit
-    IMPLICATIVE_CONJUNCTIVE = Conj.bit
-    POSITIVE = Disj.bit | Conj.bit
-
-    def __init__(self, mask: int):
-        self.mask = mask
-
-    def includes(self, other: "Fragment") -> bool:
-        return other.mask & ~self.mask == 0
-
-    def admits(self, f: Formula) -> bool:
-        return f.mask & ~self.mask == 0
-
-
-def fragment_of(f: Formula) -> Fragment:
-    """Least fragment containing f."""
-    return Fragment(f.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +347,14 @@ def replace_at(f: Formula, path, replacement: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # bounded enumeration (used by the sweep tooling and tests)
 
-def enumerate_formulas(max_connectives: int, atom_indices, fragment: Fragment) -> Iterator[Formula]:
-    """All formulas of the fragment over the given atoms with at most
-    max_connectives connective occurrences, smallest first; none when
-    max_connectives is negative."""
+def enumerate_formulas(max_connectives: int, atom_indices, language) -> Iterator[Formula]:
+    """All formulas of the language (a CalculusId, read for its connective
+    mask) over the given atoms with at most max_connectives connective
+    occurrences, smallest first; none when max_connectives is negative."""
     if max_connectives < 0:
         return
     atoms = [Atom(i) for i in sorted(atom_indices)]
-    ctors = [c for c in (Impl, Disj, Conj) if c.bit & ~fragment.mask == 0]
+    ctors = [c for c in (Impl, Disj, Conj) if c.bit & ~language.mask == 0]
 
     by_count: list[list[Formula]] = [list(atoms)]
     yield from by_count[0]

@@ -204,7 +204,7 @@ def build_line(v: dict, a: Formula, calc: CalculusId) -> LineCertificate:
     hypotheses.  The certificate's derivation is unchecked."""
     if calc not in (CalculusId.ID, CalculusId.P):
         raise TacticError(f"line construction runs in ID or P, not {calc}")
-    if not calc.fragment.admits(a):
+    if not calc.admits(a):
         raise TacticError(f"{a} outside the {calc} fragment")
 
     def rec(f: Formula) -> Derivation:
@@ -330,7 +330,7 @@ def synthesize(a: Formula, calc: CalculusId) -> Derivation:
     themselves (or something built from it) at their own boundary."""
     if calc not in (CalculusId.ID, CalculusId.P):
         raise TacticError(f"direct synthesis runs in ID or P, not {calc}")
-    if not calc.fragment.admits(a):
+    if not calc.admits(a):
         raise TacticError(f"{a} outside the {calc} fragment")
     countermodel = find_countermodel(a)
     if countermodel is not None:

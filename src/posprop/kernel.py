@@ -7,16 +7,17 @@ backward indices) tagged with a calculus and a declared hypothesis set.
 
 The four calculi:
 
-    I   Ax1-Ax3            implicative fragment
-    ID  Ax1-Ax6            implicative-disjunctive fragment
-    IC  Ax1-Ax3, Ax7-Ax9   implicative-conjunctive fragment
-    P   Ax1-Ax9            full positive fragment
+    I   Ax1-Ax3            ->
+    ID  Ax1-Ax6            ->, v
+    IC  Ax1-Ax3, Ax7-Ax9   ->, &
+    P   Ax1-Ax9            ->, v, &
 
 with the single rule MP: from A -> B and A, infer B.  Each axiom scheme
 is stated once, as a SchemeId member carrying the constructor of its
 instances; builders call it, and match_scheme reads the instance it builds
-from distinct atoms.  Each calculus is its fragment, and has the schemes
-whose instances the fragment admits.
+from distinct atoms.  A calculus is its connective mask: CalculusId(f.mask)
+is the least calculus admitting f, and a calculus has the schemes whose
+instances it admits.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .formula import Atom, Conj, Disj, Formula, Fragment, Impl
+from .formula import Atom, Conj, Disj, Formula, Impl
 
 
 class SchemeId(Enum):
@@ -91,21 +92,26 @@ def instantiate_scheme(scheme: SchemeId, subst: dict) -> Formula:
 
 
 class CalculusId(Enum):
-    """A calculus is its fragment: its schemes are those whose pattern the
-    fragment admits, in SchemeId order.  Its name labels it in proof files
-    and on the command line."""
+    """A calculus is its language: its value is the mask of the connective
+    bits its formulas may hold (-> is always allowed), so CalculusId(f.mask)
+    is the least calculus admitting f.  Its schemes are those whose pattern
+    it admits, in SchemeId order; its name labels it in proof files and on
+    the command line."""
 
-    I = Fragment.IMPLICATIVE
-    ID = Fragment.IMPLICATIVE_DISJUNCTIVE
-    IC = Fragment.IMPLICATIVE_CONJUNCTIVE
-    P = Fragment.POSITIVE
+    I = Impl.bit
+    ID = Disj.bit
+    IC = Conj.bit
+    P = Disj.bit | Conj.bit
 
-    def __init__(self, fragment: Fragment):
-        self.fragment = fragment
-        self.schemes = tuple(s for s in SchemeId if fragment.admits(s.pattern))
+    def __init__(self, mask: int):
+        self.mask = mask
+        self.schemes = tuple(s for s in SchemeId if self.admits(s.pattern))
 
     def extends(self, other: "CalculusId") -> bool:
-        return self.fragment.includes(other.fragment)
+        return other.mask & ~self.mask == 0
+
+    def admits(self, f: Formula) -> bool:
+        return f.mask & ~self.mask == 0
 
     def __str__(self):
         return self.name
@@ -181,8 +187,7 @@ def check(d: Derivation) -> list:
     if not isinstance(d.calculus, CalculusId):
         return [StepError(-1, "unknown-calculus", repr(d.calculus))]
     errors = []
-    fragment = d.calculus.fragment
-    forbidden = ~fragment.mask
+    forbidden = ~d.calculus.mask
     steps = d.steps
     hypotheses = d.hypotheses
     for h in hypotheses:
@@ -190,7 +195,7 @@ def check(d: Derivation) -> list:
             errors.append(StepError(-1, "not-a-formula", f"hypothesis {h!r}"))
         elif h.mask & forbidden:
             errors.append(StepError(-1, "fragment-violation",
-                                    f"hypothesis {h} outside {fragment.name}"))
+                                    f"hypothesis {h} outside {d.calculus}"))
     for i, step in enumerate(steps):
         kind = type(step)
         if kind not in _STEP_TYPES:
@@ -202,7 +207,7 @@ def check(d: Derivation) -> list:
             continue
         if formula.mask & forbidden:
             errors.append(StepError(i, "fragment-violation",
-                                    f"{formula} outside {fragment.name}"))
+                                    f"{formula} outside {d.calculus}"))
             continue
         if kind is MPStep:
             if type(step.major) is not int or type(step.minor) is not int:
@@ -238,23 +243,7 @@ def verify(d: Derivation) -> Derivation:
     errors = check(d)
     if errors:
         raise CheckError(errors)
-    if proof_log.enabled:
-        proof_log.items.append((d.hypotheses, d.conclusion))
     return d
-
-
-class _ProofLog:
-    """Optional recorder of every verified derivation, for the global
-    soundness sweep in the test suite.  Off by default.  Records
-    (hypotheses, conclusion) pairs — all a semantic audit needs — rather
-    than whole step lists, to keep long runs cheap."""
-
-    def __init__(self):
-        self.enabled = False
-        self.items: list = []
-
-
-proof_log = _ProofLog()
 
 
 def hypothesis(calculus: CalculusId, f: Formula) -> Derivation:

@@ -865,9 +865,9 @@ def lemma(lemma_id: LemmaId, args, target: CalculusId):
     for f in formulas:
         if not isinstance(f, (Atom, Impl, Disj, Conj)):
             raise TacticError(f"{lemma_id.value} takes formulas, got {f!r}")
-        if not target.fragment.admits(f):
+        if not target.admits(f):
             raise CheckError([StepError(-1, "fragment-violation",
-                                        f"{f} outside {target.fragment.name}")])
+                                        f"{f} outside {target}")])
     result = lemma_id.builder(*args, calculus=target)
     if isinstance(result, EquivalencePair):
         if lemma_id is not LemmaId.L2_15:

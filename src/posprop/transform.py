@@ -24,7 +24,9 @@ from .formula import (Atom, Conj, Disj, Formula, Impl, conj_chain, replace_at,
 from .kernel import (CalculusId, Derivation, MPStep, SchemeId, match_scheme,
                      verify)
 # `prove` is not called here; it stays bound as transform.prove for the
-# per-module tracer in perfbench/spans.py
+# per-module tracer in perfbench/spans.py.  The part provers call
+# kalmar.eliminate through its module, where that tracer wraps it.
+from . import kalmar
 from .kalmar import NotTautology, prove, synthesize
 from .semantics import find_countermodel
 # `deduction` is not called here; it stays bound as transform.deduction for
@@ -117,7 +119,7 @@ def _rewrite(pair: EquivalencePair, path, step: EquivalencePair) -> EquivalenceP
 def gamma_equivalence(a: Formula,
                       calculus: CalculusId = CalculusId.P) -> EquivalencePair:
     """Derivability pair between a and its gamma normal form (unchecked)."""
-    if not calculus.fragment.admits(a):
+    if not calculus.admits(a):
         raise TacticError(f"{a} outside the {calculus} fragment")
     acc = reflexive_pair(a, calculus)
     while (path := _find_redex(acc.right)) is not None:
@@ -181,7 +183,7 @@ def tau_equivalence(a: Formula,
                     calculus: CalculusId = CalculusId.ID) -> EquivalencePair:
     """Derivability pair between a and tau(a), built in calculus, ID or
     one that extends it (unchecked)."""
-    if not CalculusId.ID.fragment.admits(a):
+    if not CalculusId.ID.admits(a):
         raise TacticError(f"tau is defined on the ID fragment only, got {a}")
     acc = reflexive_pair(a, calculus)
     if not isinstance(a, Atom):
@@ -239,17 +241,18 @@ def prove_I(a: Formula) -> Derivation:
     """Closed I derivation of an implicative tautology, via ID synthesis
     followed by translation (tau is the identity on implicative formulas).
     Only the I proof is checked, not the ID proof it is translated from."""
-    if not CalculusId.I.fragment.admits(a):
+    if not CalculusId.I.admits(a):
         raise TacticError(f"{a} outside the implicative fragment")
     return verify(_translate(synthesize(a, CalculusId.ID)))
 
 
 def _prove_by_gamma(a: Formula, calculus: CalculusId, prove_part) -> Derivation:
     """Closed derivation of a tautology a in calculus: decompose a into
-    &-free conjuncts, prove each with prove_part (which raises TacticError
-    outside its fragment), conjoin them and come back through the
-    equivalence.  Only the assembled proof is checked."""
-    if not calculus.fragment.admits(a):
+    &-free conjuncts, prove each with prove_part, conjoin them and come
+    back through the equivalence.  a is decided once, here: the conjuncts
+    of a tautology are tautologies, so prove_part searches for no
+    countermodel.  Only the assembled proof is checked."""
+    if not calculus.admits(a):
         raise TacticError(f"{a} outside the {calculus} fragment")
     countermodel = find_countermodel(a)
     if countermodel is not None:
@@ -267,7 +270,7 @@ def prove_IC(a: Formula) -> Derivation:
     synthesis, then translation) but checked only inside the whole."""
     return _prove_by_gamma(
         a, CalculusId.IC,
-        lambda part: _translate(synthesize(part, CalculusId.ID)))
+        lambda part: _translate(kalmar.eliminate(part, CalculusId.ID)))
 
 
 def prove_P_reduction(a: Formula) -> Derivation:
@@ -275,7 +278,7 @@ def prove_P_reduction(a: Formula) -> Derivation:
     gamma decomposition, ID synthesis per conjunct, reassembly.  Only the
     assembled proof is checked."""
     return _prove_by_gamma(a, CalculusId.P,
-                           lambda part: synthesize(part, CalculusId.ID))
+                           lambda part: kalmar.eliminate(part, CalculusId.ID))
 
 
 def decompose_to_implicative(a: Formula) -> Decomposition:

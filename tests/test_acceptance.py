@@ -1,9 +1,9 @@
 """Acceptance suite: eight end-to-end criteria, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
-The kernel proof log is enabled for the whole module so that the soundness
-criterion can audit every derivation verified anywhere in the run; it is
-checked last on purpose.
+The proof log of conftest.py records for the whole module, so that the
+soundness criterion can audit every derivation verified anywhere in the
+run; it is checked last on purpose.
 """
 
 import functools
@@ -11,10 +11,12 @@ import gc
 import random
 import time
 
-from posprop.formula import (Atom, Conj, Disj, Fragment, Impl, atoms_of,
-                             delta_set, enumerate_formulas, fragment_of,
-                             gamma_set, neg_encode, parse, pos_encode, pretty)
-from posprop.kernel import CalculusId, check, proof_log
+import pytest
+
+from posprop.formula import (Atom, Conj, Disj, Impl, atoms_of, delta_set,
+                             enumerate_formulas, gamma_set, neg_encode, parse,
+                             pos_encode, pretty)
+from posprop.kernel import CalculusId, check
 from posprop.semantics import (assignments_over, entails, evaluate,
                                find_countermodel, is_tautology)
 from posprop.kalmar import build_line, derive_from_hypotheses, prove
@@ -26,17 +28,15 @@ from posprop.transform import (gamma, gamma_equivalence, is_gamma_normal,
                                prove_P_reduction, tau, tau_equivalence,
                                translate_derivation)
 
+from conftest import proof_log
 from test_tactics import GOLDEN_DERIVATIONS, GOLDEN_PAIRS, P1, P2, P3
 
 
-def setup_module(module):
-    proof_log.enabled = True
-    proof_log.items.clear()
-
-
-def teardown_module(module):
-    proof_log.enabled = False
-    proof_log.items.clear()
+@pytest.fixture(scope="module", autouse=True)
+def verified():
+    """(hypotheses, conclusion) of every derivation verified in this module."""
+    with proof_log() as records:
+        yield records
 
 
 def report(num, failures, detail):
@@ -78,8 +78,7 @@ def sweep_results():
     gc.disable()
     try:
         start = time.monotonic()
-        for f in enumerate_formulas(4, [1, 2],
-                                    Fragment.IMPLICATIVE_DISJUNCTIVE):
+        for f in enumerate_formulas(4, [1, 2], CalculusId.ID):
             v = find_countermodel(f)
             if v is None:
                 proofs.append(prove(f, CalculusId.ID))
@@ -97,7 +96,7 @@ def normal_form_corpus():
     """Criterion-5 corpus: exhaustive to 3 connectives over 3 atoms, plus
     seeded random samples at 4 and 5 connectives (the exhaustive 5-connective
     space has several million formulas; see the sample counts below)."""
-    corpus = list(enumerate_formulas(3, [1, 2, 3], Fragment.POSITIVE))
+    corpus = list(enumerate_formulas(3, [1, 2, 3], CalculusId.P))
     rng = random.Random(20260823)
     ctors = [Impl, Disj, Conj]
     seen = set(corpus)
@@ -191,10 +190,10 @@ def test_criterion_5_normal_forms():
         g = gamma(f)
         if not (is_gamma_normal(g.formula) and truth_equal(f, g.formula)):
             failures.append(f"gamma {pretty(f)}")
-        if Fragment.IMPLICATIVE_DISJUNCTIVE.admits(f):
+        if CalculusId.ID.admits(f):
             id_subset.append(f)
             t = tau(f)
-            if not (fragment_of(t) is Fragment.IMPLICATIVE
+            if not (CalculusId(t.mask) is CalculusId.I
                     and truth_equal(f, t)):
                 failures.append(f"tau {pretty(f)}")
         if len(failures) > 3:
@@ -249,7 +248,7 @@ def test_criterion_6_route_agreement():
             failures.append(f"routes disagree on {pretty(f)}")
 
     id_tautologies = [f for f in p_tautologies
-                      if Fragment.IMPLICATIVE_DISJUNCTIVE.admits(f)]
+                      if CalculusId.ID.admits(f)]
     translated = rng.sample(id_tautologies, min(60, len(id_tautologies)))
     for f in translated:
         t = translate_derivation(prove(f, CalculusId.ID))
@@ -258,7 +257,7 @@ def test_criterion_6_route_agreement():
             failures.append(f"translate {pretty(f)}")
 
     implicative = [f for f in id_tautologies
-                   if fragment_of(f) is Fragment.IMPLICATIVE]
+                   if CalculusId(f.mask) is CalculusId.I]
     for f in implicative:
         if tau(f) != f:
             failures.append(f"tau not identity on {pretty(f)}")
@@ -341,9 +340,9 @@ def test_criterion_8_proof_file_round_trip():
                         "preserved validity with byte-identical output")
 
 
-def test_criterion_2_global_soundness():
+def test_criterion_2_global_soundness(verified):
     sweep_results()  # guarantee a large population even when run alone
-    records = list(proof_log.items)
+    records = list(verified)
     failures = []
     for hyps, conclusion in records:
         if not entails(list(hyps), conclusion):

@@ -93,6 +93,13 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 1 and "bad-axiom-instance" in out
 
+    def test_hypotheses_listed_in_R_order(self, capsys, tmp_path):
+        # as the proof file lists them: p2 precedes p10 in R, not in str
+        path = tmp_path / "open.txt"
+        path.write_text("calculus: I\nhyp: p2\nhyp: p10\n1. hyp p10\n")
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0 and "hypotheses: p2, p10;" in out
+
 
 @pytest.mark.parametrize("command", ["check", "translate", "stats"])
 def test_non_utf8_proof_file_is_malformed(capsys, tmp_path, command):
@@ -258,6 +265,13 @@ class TestEnumerateAndStats:
         code, out, _ = run(capsys, "stats", str(path))
         assert code == 0
         assert "calculus: I" in out and "conclusion: p1 -> p1" in out
+
+    def test_stats_names_the_least_calculus(self, capsys, tmp_path):
+        path = tmp_path / "proof.txt"
+        run(capsys, "prove", "p1 v (p1 -> p2)", "-c", "P", "-o", str(path))
+        code, out, _ = run(capsys, "stats", str(path))
+        assert code == 0
+        assert "calculus: P\n" in out and "fragment: ID\n" in out
 
 
 def test_no_command_is_usage_error(capsys):

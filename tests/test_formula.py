@@ -3,12 +3,12 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from posprop.formula import (Atom, Conj, Disj, Fragment, Impl, ParseError,
-                             atoms_of, compare_R, conj_chain, delta_set,
-                             disj_chain, enumerate_formulas, fragment_of,
-                             gamma_set, neg_encode, parse, pos_encode, pretty,
-                             r_key, r_sorted, replace_at, subformula_at,
-                             subformulas)
+from posprop.formula import (Atom, Conj, Disj, Impl, ParseError, atoms_of,
+                             compare_R, conj_chain, delta_set, disj_chain,
+                             enumerate_formulas, gamma_set, neg_encode, parse,
+                             pos_encode, pretty, r_key, r_sorted, replace_at,
+                             subformula_at, subformulas)
+from posprop.kernel import CalculusId
 
 
 def formulas(max_depth=4, atoms=(1, 2, 3)):
@@ -97,20 +97,22 @@ class TestInterning:
 
 class TestFragments:
     def test_fragment_of(self):
-        assert fragment_of(parse("p1 -> p2")) is Fragment.IMPLICATIVE
-        assert fragment_of(parse("p1 v p2")) is Fragment.IMPLICATIVE_DISJUNCTIVE
-        assert fragment_of(parse("p1 & p2")) is Fragment.IMPLICATIVE_CONJUNCTIVE
-        assert fragment_of(parse("p1 & p2 v p3")) is Fragment.POSITIVE
+        assert CalculusId(parse("p1 -> p2").mask) is CalculusId.I
+        assert CalculusId(parse("p1 v p2").mask) is CalculusId.ID
+        assert CalculusId(parse("p1 & p2").mask) is CalculusId.IC
+        assert CalculusId(parse("p1 & p2 v p3").mask) is CalculusId.P
 
     def test_includes_partial_order(self):
-        assert Fragment.POSITIVE.includes(Fragment.IMPLICATIVE)
-        assert not Fragment.IMPLICATIVE_DISJUNCTIVE.includes(
-            Fragment.IMPLICATIVE_CONJUNCTIVE)
+        assert CalculusId.P.extends(CalculusId.I)
+        assert not CalculusId.ID.extends(CalculusId.IC)
 
     @given(formulas())
     def test_admits_consistent_with_fragment_of(self, f):
-        for frag in Fragment:
-            assert frag.admits(f) == frag.includes(fragment_of(f))
+        # CalculusId(f.mask) is the least calculus admitting f
+        least = CalculusId(f.mask)
+        assert least.admits(f)
+        for calc in CalculusId:
+            assert calc.admits(f) == calc.extends(least)
 
 
 class TestOrderR:
@@ -192,19 +194,19 @@ class TestPaths:
 
 class TestEnumeration:
     def test_counts_small(self):
-        # 2 atoms, ID fragment: 2 atoms + 8 one-connective formulas
-        got = list(enumerate_formulas(1, [1, 2], Fragment.IMPLICATIVE_DISJUNCTIVE))
+        # 2 atoms, ID's language: 2 atoms + 8 one-connective formulas
+        got = list(enumerate_formulas(1, [1, 2], CalculusId.ID))
         assert len(got) == 10
         assert len(set(got)) == 10
 
     def test_negative_count_yields_nothing(self):
-        assert list(enumerate_formulas(-1, [1, 2], Fragment.POSITIVE)) == []
+        assert list(enumerate_formulas(-1, [1, 2], CalculusId.P)) == []
 
     def test_respects_fragment(self):
-        for f in enumerate_formulas(2, [1, 2], Fragment.IMPLICATIVE):
-            assert fragment_of(f) is Fragment.IMPLICATIVE
+        for f in enumerate_formulas(2, [1, 2], CalculusId.I):
+            assert CalculusId(f.mask) is CalculusId.I
 
     def test_levelwise_order(self):
         sizes = [f.size for f in
-                 enumerate_formulas(2, [1], Fragment.POSITIVE)]
+                 enumerate_formulas(2, [1], CalculusId.P)]
         assert sizes == sorted(sizes)

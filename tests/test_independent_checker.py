@@ -4,9 +4,10 @@ perfbench/reference.py compares formulas as plain tuples, by structure,
 and imports nothing from posprop; it is imported here unchanged.  On every
 proof of two small sweeps, and on three single-step mutations of each,
 kernel.check and the reference checker must return the same verdict.  The
-enumerator, the printer and fragment_of must agree with the reference's
-on every small formula of each fragment, and the parser must read back
-both the reference's printing and a fully parenthesized one.
+enumerator, the printer and the least calculus CalculusId(f.mask) must
+agree with the reference's on every small formula of each calculus's
+language, and the parser must read back both the reference's printing
+and a fully parenthesized one.
 """
 
 import random
@@ -15,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from posprop.formula import (Atom, Fragment, Impl, enumerate_formulas,
-                             fragment_of, parse, pretty)
+from posprop.formula import Atom, Impl, enumerate_formulas, parse, pretty
 from posprop.kalmar import prove
 from posprop.kernel import AxiomStep, CalculusId, Derivation, MPStep, check
 from posprop.semantics import is_tautology
@@ -25,14 +25,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import reference  # noqa: E402
 
 
-def _sweep(max_connectives, atoms, fragment, calc):
-    return [prove(f, calc) for f in enumerate_formulas(max_connectives, atoms, fragment)
+def _sweep(max_connectives, atoms, calc):
+    return [prove(f, calc) for f in enumerate_formulas(max_connectives, atoms, calc)
             if is_tautology(f)]
 
 
 SWEEPS = {
-    "ID-2-atoms": lambda: _sweep(3, [1, 2], Fragment.IMPLICATIVE_DISJUNCTIVE, CalculusId.ID),
-    "P-3-atoms": lambda: _sweep(2, [1, 2, 3], Fragment.POSITIVE, CalculusId.P),
+    "ID-2-atoms": lambda: _sweep(3, [1, 2], CalculusId.ID),
+    "P-3-atoms": lambda: _sweep(2, [1, 2, 3], CalculusId.P),
 }
 
 
@@ -92,11 +92,11 @@ def test_kernel_agrees_with_reference_checker(sweep):
     assert rejected["scheme"] > 0 and rejected["formula"] > 0
 
 
-FRAGMENT_OPS = {
-    Fragment.IMPLICATIVE: ["->"],
-    Fragment.IMPLICATIVE_DISJUNCTIVE: ["->", "v"],
-    Fragment.IMPLICATIVE_CONJUNCTIVE: ["->", "&"],
-    Fragment.POSITIVE: ["->", "v", "&"],
+LANGUAGE_OPS = {
+    CalculusId.I: ["->"],
+    CalculusId.ID: ["->", "v"],
+    CalculusId.IC: ["->", "&"],
+    CalculusId.P: ["->", "v", "&"],
 }
 
 
@@ -107,16 +107,19 @@ def _parenthesized(t) -> str:
     return f"({_parenthesized(t[1])} {t[0]} {_parenthesized(t[2])})"
 
 
-@pytest.mark.parametrize("fragment", list(Fragment), ids=lambda f: f.name)
-def test_vocabulary_agrees_with_reference(fragment):
-    formulas = list(enumerate_formulas(3, [1, 2], fragment))
+# the ids name each calculus's language
+@pytest.mark.parametrize("calc", list(CalculusId), ids=[
+    "IMPLICATIVE", "IMPLICATIVE_DISJUNCTIVE", "IMPLICATIVE_CONJUNCTIVE",
+    "POSITIVE"])
+def test_vocabulary_agrees_with_reference(calc):
+    formulas = list(enumerate_formulas(3, [1, 2], calc))
     read = reference.Reader()
     tuples = [read(f) for f in formulas]
-    expected = reference.enumerate_formulas(3, 2, FRAGMENT_OPS[fragment])
+    expected = reference.enumerate_formulas(3, 2, LANGUAGE_OPS[calc])
     assert tuples == [t for t, _ in expected]
     for f, t in zip(formulas, tuples):
         assert pretty(f) == reference.pretty(t)
         assert parse(reference.pretty(t)) is f
         assert parse(_parenthesized(t)) is f
         present = ["->"] + [op for op in ("v", "&") if reference.has_op(t, op)]
-        assert FRAGMENT_OPS[fragment_of(f)] == present
+        assert LANGUAGE_OPS[CalculusId(f.mask)] == present

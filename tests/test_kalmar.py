@@ -10,7 +10,7 @@ import posprop.kalmar as kalmar
 
 from posprop.formula import (Atom, Disj, Impl, atoms_of, delta_set,
                              disj_chain, enumerate_formulas, gamma_set,
-                             neg_encode, parse, pos_encode, Fragment)
+                             neg_encode, parse, pos_encode)
 from posprop.kernel import AxiomStep, CalculusId, SchemeId, check, hypothesis
 from posprop.semantics import assignments_over, evaluate, is_tautology
 from posprop.kalmar import (LineCertificate, NotTautology, build_line,
@@ -149,13 +149,10 @@ class TestBuildLine:
         with pytest.raises(TacticError):
             build_line({1: True}, Atom(1), CalculusId.I)
 
-    @pytest.mark.parametrize("calc,fragment", [
-        (CalculusId.ID, Fragment.IMPLICATIVE_DISJUNCTIVE),
-        (CalculusId.P, Fragment.POSITIVE),
-    ])
-    def test_certificates_random(self, calc, fragment):
+    @pytest.mark.parametrize("calc", [CalculusId.ID, CalculusId.P])
+    def test_certificates_random(self, calc):
         rng = random.Random(7)
-        pool = list(enumerate_formulas(4, [1, 2, 3], fragment))
+        pool = list(enumerate_formulas(4, [1, 2, 3], calc))
         for f in rng.sample(pool, 80):
             for v in assignments_over(atoms_of(f)):
                 _cert_ok(build_line(v, f, calc))
@@ -266,7 +263,7 @@ class TestProve:
         # every 2-atom ->/v tautology with at most 3 connectives (346);
         # upper bounds, so shorter proofs still pass
         lengths = [len(prove(f, CalculusId.ID)) for f in enumerate_formulas(
-            3, [1, 2], Fragment.IMPLICATIVE_DISJUNCTIVE) if is_tautology(f)]
+            3, [1, 2], CalculusId.ID) if is_tautology(f)]
         assert len(lengths) == 346
         assert sum(lengths) <= 17_359 and max(lengths) <= 195
 
@@ -276,7 +273,7 @@ class TestProve:
         assert len(prove(parse("(p1 -> p2) v (p2 -> p1)"), CalculusId.ID)) <= 122
 
     def test_exhaustive_tiny(self):
-        for f in enumerate_formulas(2, [1, 2], Fragment.IMPLICATIVE_DISJUNCTIVE):
+        for f in enumerate_formulas(2, [1, 2], CalculusId.ID):
             if is_tautology(f):
                 d = prove(f, CalculusId.ID)
                 assert d.conclusion == f and check(d) == []

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from posprop.formula import (Atom, Conj, Disj, Formula, Fragment, Impl,
+from posprop.formula import (Atom, Conj, Disj, Formula, Impl,
                              parse, replace_at, subformula_at)
 from posprop.kalmar import build_line, prove
 from posprop.kernel import (AxiomStep, CalculusId, CheckError, Derivation,
@@ -130,8 +130,10 @@ class TestCalculi:
         assert a.extends(b) == (set(b.schemes) <= set(a.schemes))
 
     def test_fragments(self):
-        assert CalculusId.IC.fragment is Fragment.IMPLICATIVE_CONJUNCTIVE
-        assert all(c.value is c.fragment for c in CalculusId)
+        # a calculus is the mask of the connectives its language allows
+        assert [c.mask for c in CalculusId] == [
+            Impl.bit, Disj.bit, Conj.bit, Disj.bit | Conj.bit]
+        assert all(c.value == c.mask for c in CalculusId)
 
 
 class TestCheck:
@@ -150,7 +152,7 @@ class TestCheck:
     def test_scheme_not_in_calculus(self):
         d = Derivation(CalculusId.I, frozenset(),
                        (AxiomStep(SchemeId.AX4, parse("p1 -> p1 v p2")),))
-        # Ax4 also mentions v, outside I's fragment
+        # Ax4 also mentions v, outside I's language
         assert "scheme-not-in-calculus" in codes(check(d)) or \
             "fragment-violation" in codes(check(d))
 
@@ -181,6 +183,12 @@ class TestCheck:
         d = Derivation(CalculusId.I, frozenset([parse("p1 v p2")]),
                        (HypStep(parse("p1 v p2")),))
         assert set(codes(check(d))) == {"fragment-violation"}
+
+    def test_fragment_violation_names_the_calculus(self):
+        d = Derivation(CalculusId.I, frozenset(),
+                       (AxiomStep(SchemeId.AX4, parse("p1 -> p1 v p2")),))
+        assert [str(e) for e in check(d)] == [
+            "step 1: fragment-violation: p1 -> p1 v p2 outside I"]
 
     def test_unused_declared_hypothesis_allowed(self):
         d = Derivation(CalculusId.I, frozenset([Atom(1), Atom(2)]),
@@ -246,8 +254,8 @@ def _checked_proofs(draw):
     calc = draw(st.sampled_from([CalculusId.ID, CalculusId.P]))
     if draw(st.booleans()):
         return prove(draw(st.sampled_from(
-            [t for t in _TAUTOLOGIES if calc.fragment.admits(t)])), calc)
-    f = draw(formulas(max_depth=2).filter(calc.fragment.admits))
+            [t for t in _TAUTOLOGIES if calc.admits(t)])), calc)
+    f = draw(formulas(max_depth=2).filter(calc.admits))
     values = draw(st.lists(st.booleans(), min_size=3, max_size=3))
     v = {i + 1: value for i, value in enumerate(values)}
     return build_line(v, f, calc).derivation

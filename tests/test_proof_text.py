@@ -6,7 +6,7 @@ every proof, in enumeration order."""
 
 import hashlib
 
-from posprop.formula import Fragment, enumerate_formulas
+from posprop.formula import enumerate_formulas
 from posprop.kalmar import prove
 from posprop.kernel import CalculusId
 from posprop.proofio import write_text
@@ -16,14 +16,14 @@ from posprop.transform import prove_I
 PINNED = "facadf82f6c04d47e541c11a152d78f9947f35927864b3370fed86554a22d151"
 
 
-def _tautologies(max_connectives, atom_indices, fragment):
-    return [f for f in enumerate_formulas(max_connectives, atom_indices, fragment)
+def _tautologies(max_connectives, atom_indices, language):
+    return [f for f in enumerate_formulas(max_connectives, atom_indices, language)
             if is_tautology(f)]
 
 
 def test_synthesis_proof_text_is_pinned():
-    sweep = _tautologies(3, [1, 2], Fragment.IMPLICATIVE_DISJUNCTIVE)
-    implicative = _tautologies(3, [1, 2, 3], Fragment.IMPLICATIVE)
+    sweep = _tautologies(3, [1, 2], CalculusId.ID)
+    implicative = _tautologies(3, [1, 2, 3], CalculusId.I)
     assert (len(sweep), len(implicative)) == (346, 156)
     h = hashlib.sha256()
     for d in ([prove(f, CalculusId.ID) for f in sweep]

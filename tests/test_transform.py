@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from posprop.formula import (Atom, Conj, Disj, Fragment, Impl, atoms_of,
-                             enumerate_formulas, fragment_of, parse)
-from posprop.kernel import CalculusId, check, proof_log, prune
-from posprop.semantics import assignments_over, evaluate, is_tautology
+from posprop import kalmar, transform
+from posprop.formula import (Atom, Conj, Disj, Impl, atoms_of,
+                             enumerate_formulas, parse)
+from posprop.kernel import CalculusId, check, prune
+from posprop.semantics import (assignments_over, evaluate, find_countermodel,
+                               is_tautology)
 from posprop.kalmar import (_LINE_CACHE, NotTautology, derive_from_hypotheses,
                             prove)
 from posprop.tactics import TacticError
@@ -14,6 +16,8 @@ from posprop.transform import (Decomposition, GammaForm, decompose,
                                gamma_equivalence, is_gamma_normal, prove_I,
                                prove_IC, prove_P_reduction, tau,
                                tau_equivalence, translate_derivation)
+
+from conftest import proof_log
 
 
 def truth_equal(a, b):
@@ -68,7 +72,7 @@ class TestGamma:
 
     def test_truth_preserving(self):
         rng = random.Random(3)
-        pool = list(enumerate_formulas(4, [1, 2, 3], Fragment.POSITIVE))
+        pool = list(enumerate_formulas(4, [1, 2, 3], CalculusId.P))
         for f in rng.sample(pool, 150):
             g = gamma(f)
             assert is_gamma_normal(g.formula)
@@ -91,8 +95,7 @@ class TestDecompose:
     def test_conjuncts_conjunction_free(self):
         dec = decompose(parse("(p1 v p2 & p3) -> p1 & p2"))
         assert all(
-            fragment_of(c) in (Fragment.IMPLICATIVE,
-                               Fragment.IMPLICATIVE_DISJUNCTIVE)
+            CalculusId(c.mask) in (CalculusId.I, CalculusId.ID)
             for c in dec.conjuncts)
         assert dec.equivalence.left == parse("(p1 v p2 & p3) -> p1 & p2")
         assert dec.equivalence.right == dec.chain
@@ -111,7 +114,7 @@ class TestDecompose:
     def test_ic_restriction(self):
         f = parse("(p1 & p2 -> p3) & p1")
         dec = decompose(f, CalculusId.IC)
-        assert all(fragment_of(c) is Fragment.IMPLICATIVE
+        assert all(CalculusId(c.mask) is CalculusId.I
                    for c in dec.conjuncts)
         assert dec.equivalence.calculus is CalculusId.IC
 
@@ -164,11 +167,10 @@ class TestTau:
 
     def test_truth_preserving_and_disjunction_free(self):
         rng = random.Random(4)
-        pool = list(enumerate_formulas(4, [1, 2, 3],
-                                       Fragment.IMPLICATIVE_DISJUNCTIVE))
+        pool = list(enumerate_formulas(4, [1, 2, 3], CalculusId.ID))
         for f in rng.sample(pool, 150):
             t = tau(f)
-            assert fragment_of(t) is Fragment.IMPLICATIVE
+            assert CalculusId(t.mask) is CalculusId.I
             assert truth_equal(f, t)
 
     def test_equivalence_kernel_checked(self):
@@ -239,6 +241,26 @@ class TestRoutes:
         assert d.conclusion == f and not d.hypotheses
         assert check(d) == []
 
+    @pytest.mark.parametrize("route,text", [
+        (prove_P_reduction, "(p1 v p2 & p3) -> (p1 v p2) & (p1 v p3)"),
+        (prove_IC, "(p1 -> p2 & p3) -> (p1 -> p3) & (p1 -> p2)"),
+    ], ids=["P-reduction", "IC"])
+    def test_gamma_routes_decide_once(self, monkeypatch, route, text):
+        # the conjuncts of a tautology are tautologies: only the whole
+        # formula is searched for a countermodel
+        searched = []
+
+        def counting(a):
+            searched.append(a)
+            return find_countermodel(a)
+
+        monkeypatch.setattr(kalmar, "find_countermodel", counting)
+        monkeypatch.setattr(transform, "find_countermodel", counting)
+        f = parse(text)
+        assert len(decompose(f).conjuncts) == 2
+        route(f)
+        assert searched == [f]
+
     def test_gamma_routes_splice_derivability_halves(self):
         # the rule pairs reach compose_pairs in derivability mode, so no
         # thesis half is turned back into a derivability one on the way
@@ -248,7 +270,7 @@ class TestRoutes:
 
     def test_route_agreement_small(self):
         rng = random.Random(5)
-        pool = [f for f in enumerate_formulas(3, [1, 2], Fragment.POSITIVE)
+        pool = [f for f in enumerate_formulas(3, [1, 2], CalculusId.P)
                 if is_tautology(f)]
         for f in rng.sample(pool, 25):
             direct = prove(f, CalculusId.P)
@@ -261,7 +283,7 @@ class TestDecomposeToImplicative:
     def test_conjuncts_implicative(self):
         f = parse("(p1 v p2) & (p1 -> p2 & p1)")
         dec = decompose_to_implicative(f)
-        assert all(fragment_of(c) is Fragment.IMPLICATIVE
+        assert all(CalculusId(c.mask) is CalculusId.I
                    for c in dec.conjuncts)
         assert dec.equivalence.left == f
         assert dec.equivalence.right == dec.chain
@@ -276,20 +298,16 @@ class TestDecomposeToImplicative:
 
 @pytest.fixture
 def fresh_proof_log():
-    """The kernel's proof log, emptied and enabled, over an empty line
-    cache; both are restored afterwards."""
-    saved = (proof_log.enabled, list(proof_log.items), dict(_LINE_CACHE))
-    proof_log.enabled = True
-    proof_log.items.clear()
+    """conftest's proof log over an empty line cache, which is restored
+    afterwards."""
+    saved = dict(_LINE_CACHE)
     _LINE_CACHE.clear()
     try:
-        yield proof_log.items
+        with proof_log() as records:
+            yield records
     finally:
-        enabled, items, cache = saved
-        proof_log.enabled = enabled
-        proof_log.items[:] = items
         _LINE_CACHE.clear()
-        _LINE_CACHE.update(cache)
+        _LINE_CACHE.update(saved)
 
 
 class TestCheckOnce:
