@@ -15,9 +15,10 @@ eliminated least first in the order R.
 Both levels build only what the proof cites.  A node whose true child
 never cites the split atom returns that child and builds no false
 subtree, one whose false child has a line proving its goal returns that
-line, and neither builds a discharge or join; a node goal or a line
-target that instantiates an axiom scheme of the calculus is that one step
-(Peirce's law ((p1 -> p2) -> p1) -> p1 is Ax3 at the root).
+line, and neither builds a discharge or join.  A line target that
+instantiates an axiom scheme of the calculus is that one step; an axiom
+node goal is the target of its all-true leaf, and comes up through its
+true children (Peirce's law ((p1 -> p2) -> p1) -> p1 is one Ax3 step).
 
 The constructors, build_line, eliminate and synthesize return unchecked
 derivations; prove and derive_from_hypotheses run the kernel checker once
@@ -31,13 +32,13 @@ from dataclasses import dataclass
 from .formula import (Atom, Conj, Disj, Formula, Impl, atoms_of, delta_set,
                       disj_chain, gamma_set, pos_encode, neg_encode, r_sorted)
 # `deduction` is not called here; it stays bound as kalmar.deduction for
-# the per-module tracer in perfbench/spans.py
+# the per-module tracer in perfbench/spans.py, which also wraps kalmar.prune
 from .kernel import (AxiomStep, CalculusId, Derivation, HypStep, SchemeId,
-                     _is_instance, hypothesis, prune, verify)
+                     _is_instance, verify)
 from .semantics import evaluate, find_countermodel
 from .tactics import (ProofBuilder, TacticError, _compose, _conj_intro,
-                      _deduction_body, _into, _reroute, _route, deduction, l2_5,
-                      l2_13, l2_17, l2_25)
+                      _deduction_body, _into, _prune as prune, _reroute, _route,
+                      deduction, hypothesis, l2_5, l2_13, l2_17, l2_25)
 
 
 class NotTautology(ValueError):
@@ -246,8 +247,8 @@ def build_line(v: dict, a: Formula, calc: CalculusId) -> LineCertificate:
             return lemma_4_2(v, f.left, f.right, rec(f.left), "left")
         return lemma_4_2(v, f.left, f.right, rec(f.right), "right")
 
-    raw = rec(a)
-    d = Derivation(calc, gamma_set(v, a), raw.steps)  # hypotheses exactly Gamma
+    gamma = gamma_set(v, a)  # before rec(a): names an atom v misses
+    d = Derivation(calc, gamma, rec(a).steps)  # hypotheses exactly Gamma
     expected = _line_target(v, a)
     if d.conclusion != expected:
         raise TacticError(
@@ -279,9 +280,10 @@ def eliminate(a: Formula, calc: CalculusId) -> Derivation:
     it never cites B (builders prune, so a hypothesis line present is a
     cited one), it is the node's result, with no false subtree, discharge
     or join.  Nor is there a discharge or join when a line of the B-false
-    child is (J)^a: that line, pruned, is the node's result.  A node
-    whose goal (J)^a instantiates an axiom scheme of calc is that one
-    axiom step, and is not split.  The result is unchecked.
+    child is (J)^a: that line, pruned, is the node's result.  A goal (J)^a
+    that instantiates an axiom scheme is also the all-true leaf's line, one
+    axiom step citing no atom, which each true child passes up unchanged.
+    The result is unchecked.
     """
     ordered = r_sorted(atoms_of(a))
     v: dict = {}
@@ -290,11 +292,6 @@ def eliminate(a: Formula, calc: CalculusId) -> Derivation:
         # ordered[k:] are fixed in v; split on ordered[k - 1]
         if k == 0:
             return build_line(v, a, calc).derivation
-        fixed = ordered[k:]
-        axiom = _as_axiom(calc, [x for x in fixed if v[x.index]],
-                          pos_encode([x for x in fixed if not v[x.index]], a))
-        if axiom is not None:
-            return axiom
         b1 = ordered[k - 1]
         v[b1.index] = True
         d_true = node(k - 1)                            # x from b1

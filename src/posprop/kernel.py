@@ -80,15 +80,11 @@ def _is_instance(scheme: SchemeId, f: Formula) -> bool:
     return match_scheme(scheme, f) is not None
 
 
+# not called in the package; perfbench/worker.py reads its cache_info()
 @lru_cache(maxsize=65536)
 def _instantiate(scheme: SchemeId, items: tuple) -> Formula:
     subst = dict(items)  # a missing metavariable raises KeyError(name)
     return scheme.build(*(subst[name] for name in scheme.metavariables.values()))
-
-
-def instantiate_scheme(scheme: SchemeId, subst: dict) -> Formula:
-    """Substitute formulas for the scheme's metavariables."""
-    return _instantiate(scheme, tuple(sorted(subst.items())))
 
 
 class CalculusId(Enum):
@@ -245,36 +241,3 @@ def verify(d: Derivation) -> Derivation:
         raise CheckError(errors)
     return d
 
-
-def hypothesis(calculus: CalculusId, f: Formula) -> Derivation:
-    """One-step derivation of f from {f} (unchecked)."""
-    return Derivation(calculus, frozenset([f]), (HypStep(f),))
-
-
-def prune(d: Derivation) -> Derivation:
-    """Drop every step the conclusion does not (transitively) cite,
-    re-offsetting MP indices.  The declared hypotheses are kept as-is."""
-    steps = d.steps
-    needed = [False] * len(steps)
-    stack = [len(steps) - 1]
-    while stack:
-        i = stack.pop()
-        if needed[i]:
-            continue
-        needed[i] = True
-        s = steps[i]
-        if type(s) is MPStep:
-            stack.append(s.major)
-            stack.append(s.minor)
-    if all(needed):
-        return d
-    remap: dict = {}
-    out: list = []
-    for i, s in enumerate(steps):
-        if not needed[i]:
-            continue
-        if type(s) is MPStep:
-            s = MPStep(remap[s.major], remap[s.minor], s.formula)
-        remap[i] = len(out)
-        out.append(s)
-    return Derivation(d.calculus, d.hypotheses, tuple(out))

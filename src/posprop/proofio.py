@@ -101,9 +101,10 @@ def _text_fields(text: str) -> tuple:
     records = []
     for ln in lines[idx:]:
         m = _STEP_RE.match(ln.strip())
-        arity = len(_FIELDS[m[2]]) - 1 if m else 0  # operands and formula
-        parts = m[3].split(" ", arity - 1) if m else []
-        if len(parts) != arity:
+        if m:
+            arity = len(_FIELDS[m[2]]) - 1  # operands and formula
+            parts = m[3].split(" ", arity - 1)
+        if not m or len(parts) != arity:
             raise ProofFormatError(f"malformed step line: {ln!r}")
         if int(m[1]) != len(records) + 1:
             raise ProofFormatError(

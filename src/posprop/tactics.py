@@ -16,7 +16,8 @@ The central tool is ProofBuilder, which accumulates steps, deduplicates
 lines by formula (a sound peephole: an identical earlier line under the
 same hypotheses proves the same thing), splices existing derivations with
 index re-offsetting, and drops the steps a conclusion does not cite when
-it freezes a derivation; freezing appends nothing, so a builder can be
+it freezes a derivation (by _prune, kept here with `hypothesis` so that
+the kernel only checks); freezing appends nothing, so a builder can be
 frozen at several lines.  The moves on its lines are each written once:
 _conj_intro (Ax9), _conj_elim (Ax7/Ax8), and _route, which carries one
 disjunction tree into another by Ax4/Ax5 injections and Ax6 splits
@@ -38,12 +39,45 @@ from enum import Enum
 from .formula import (Atom, Conj, Disj, Formula, Impl, conj_chain,
                       disj_chain, subformula_at)
 from .kernel import (AxiomStep, CalculusId, CheckError, Derivation, HypStep,
-                     MPStep, SchemeId, StepError, hypothesis, verify)
-from .kernel import prune as _prune
+                     MPStep, SchemeId, StepError, verify)
 
 
 class TacticError(ValueError):
     pass
+
+
+def hypothesis(calculus: CalculusId, f: Formula) -> Derivation:
+    """One-step derivation of f from {f} (unchecked)."""
+    return Derivation(calculus, frozenset([f]), (HypStep(f),))
+
+
+def _prune(d: Derivation) -> Derivation:
+    """Drop every step the conclusion does not (transitively) cite,
+    re-offsetting MP indices.  The declared hypotheses are kept as-is."""
+    steps = d.steps
+    needed = [False] * len(steps)
+    stack = [len(steps) - 1]
+    while stack:
+        i = stack.pop()
+        if needed[i]:
+            continue
+        needed[i] = True
+        s = steps[i]
+        if type(s) is MPStep:
+            stack.append(s.major)
+            stack.append(s.minor)
+    if all(needed):
+        return d
+    remap: dict = {}
+    out: list = []
+    for i, s in enumerate(steps):
+        if not needed[i]:
+            continue
+        if type(s) is MPStep:
+            s = MPStep(remap[s.major], remap[s.minor], s.formula)
+        remap[i] = len(out)
+        out.append(s)
+    return Derivation(d.calculus, d.hypotheses, tuple(out))
 
 
 class ProofBuilder:

@@ -185,6 +185,8 @@ def tau_equivalence(a: Formula,
     one that extends it (unchecked)."""
     if not CalculusId.ID.admits(a):
         raise TacticError(f"tau is defined on the ID fragment only, got {a}")
+    if not calculus.extends(CalculusId.ID):
+        raise TacticError(f"tau_equivalence runs in ID or P, not {calculus}")
     acc = reflexive_pair(a, calculus)
     if not isinstance(a, Atom):
         for direction, child in (("left", a.left), ("right", a.right)):

@@ -87,6 +87,14 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2 and "malformed" in err
 
+    @pytest.mark.parametrize("stray", ["foo", "hyp: p1"])
+    def test_stray_line_after_steps(self, capsys, tmp_path, stray):
+        path = tmp_path / "stray.txt"
+        path.write_text(f"calculus: I\nhyp: p1\n1. hyp p1\n{stray}\n")
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert err == f"malformed proof file: malformed step line: {stray!r}\n"
+
     def test_invalid_proof(self, capsys, tmp_path):
         path = tmp_path / "wrong.txt"
         path.write_text("calculus: I\n1. axiom Ax1 p1 -> p2\n")

@@ -40,6 +40,13 @@ def test_module_imports_are_used(path):
     assert unused == [], f"{path.name} imports {unused} without using them"
 
 
+def test_kernel_imports_only_formula_from_the_package():
+    tree = ast.parse((PACKAGE / "kernel.py").read_text(encoding="utf-8"))
+    package = {node.module for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level}
+    assert package == {"formula"}
+
+
 def test_tracer_only_names_are_still_imported():
     for module, name in sorted(TRACER_ONLY):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))

@@ -11,13 +11,13 @@ import posprop.kalmar as kalmar
 from posprop.formula import (Atom, Disj, Impl, atoms_of, delta_set,
                              disj_chain, enumerate_formulas, gamma_set,
                              neg_encode, parse, pos_encode)
-from posprop.kernel import AxiomStep, CalculusId, SchemeId, check, hypothesis
+from posprop.kernel import AxiomStep, CalculusId, SchemeId, check
 from posprop.semantics import assignments_over, evaluate, is_tautology
 from posprop.kalmar import (LineCertificate, NotTautology, build_line,
                             derive_from_hypotheses, eliminate, lemma_3_1,
                             lemma_3_2, lemma_3_3, lemma_3_4, lemma_3_5,
                             lemma_4_1, lemma_4_2, prove)
-from posprop.tactics import TacticError
+from posprop.tactics import TacticError, hypothesis
 
 
 def _cert_ok(cert: LineCertificate):
@@ -149,6 +149,10 @@ class TestBuildLine:
         with pytest.raises(TacticError):
             build_line({1: True}, Atom(1), CalculusId.I)
 
+    def test_uncovered_atom_named(self):
+        with pytest.raises(KeyError, match="assignment does not cover atom p2"):
+            build_line({1: True}, parse("p1 -> p2"), CalculusId.ID)
+
     @pytest.mark.parametrize("calc", [CalculusId.ID, CalculusId.P])
     def test_certificates_random(self, calc):
         rng = random.Random(7)
@@ -204,6 +208,8 @@ class TestEliminate:
         # p1 never cited below p2 = T or p2 = F: one leaf per value of p2
         ("p1 -> p2 -> p2", 2),
         ("(p1 -> p2) -> (p2 -> p3) -> p1 -> p3", 4),
+        # an axiom goal is the line target of the all-true leaf
+        ("((p1 -> p2) -> p1) -> p1", 1),
     ])
     def test_uncited_false_subtrees_are_not_built(self, monkeypatch, text,
                                                    leaves):

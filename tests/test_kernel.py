@@ -8,9 +8,8 @@ from posprop.formula import (Atom, Conj, Disj, Formula, Impl,
                              parse, replace_at, subformula_at)
 from posprop.kalmar import build_line, prove
 from posprop.kernel import (AxiomStep, CalculusId, CheckError, Derivation,
-                            HypStep, MPStep, SchemeId, check, hypothesis,
-                            instantiate_scheme, match_scheme, prune, verify,
-                            _instantiate, _is_instance)
+                            HypStep, MPStep, SchemeId, check, match_scheme,
+                            verify, _instantiate, _is_instance)
 from posprop.proofio import (ProofFormatError, from_json, read_text, to_json,
                              write_text)
 from posprop.semantics import entails
@@ -59,7 +58,8 @@ class TestSchemes:
     def test_instantiate_round_trip(self):
         for scheme in SchemeId:
             subst = {"A": parse("p1 v p2"), "B": Atom(3), "C": parse("p1 -> p3")}
-            f = instantiate_scheme(scheme, subst)
+            names = scheme.metavariables.values()
+            f = scheme.build(**{name: subst[name] for name in names})
             got = match_scheme(scheme, f)
             assert all(got[k] == subst[k] for k in got)
 
@@ -68,8 +68,8 @@ class TestSchemes:
         assert _instantiate.cache_info().maxsize is not None
 
     def test_instantiate_missing_metavariable(self):
-        with pytest.raises(KeyError):
-            instantiate_scheme(SchemeId.AX2, {"A": Atom(1)})
+        with pytest.raises(TypeError):
+            SchemeId.AX2.build(A=Atom(1))
 
     @pytest.mark.parametrize("scheme", list(SchemeId))
     def test_constructor_instance_matches_back(self, scheme):
@@ -103,8 +103,7 @@ class TestSchemes:
     def test_builder_axiom_is_instantiate_scheme(self, scheme):
         subst = compound_subst(scheme)
         b = ProofBuilder(CalculusId.P)
-        assert b.formula_at(b.axiom(scheme, **subst)) is instantiate_scheme(
-            scheme, subst)
+        assert b.formula_at(b.axiom(scheme, **subst)) is scheme.build(**subst)
 
 
 class TestCalculi:
@@ -234,12 +233,6 @@ class TestCheck:
             Derivation(CalculusId.I, frozenset(), ())
 
 
-class TestConstructors:
-    def test_hypothesis(self):
-        d = hypothesis(CalculusId.ID, parse("p1 v p2"))
-        assert d.conclusion == parse("p1 v p2")
-
-
 _TAUTOLOGIES = [parse(t) for t in (
     "p1 -> p1", "p1 -> p2 -> p1", "((p1 -> p2) -> p1) -> p1",
     "p1 v p2 -> p2 v p1", "p1 -> p1 v p2",
@@ -308,34 +301,6 @@ class TestSoundnessUnderMutation:
     @settings(max_examples=300, deadline=None)
     def test_rejected_or_entailed(self, d):
         assert check(d) or entails(list(d.hypotheses), d.conclusion)
-
-
-class TestPrune:
-    def test_drops_uncited_steps(self):
-        imp = parse("p1 -> p2")
-        d = Derivation(CalculusId.I, frozenset([imp, Atom(1), Atom(3)]),
-                       (HypStep(Atom(3)),           # dead
-                        HypStep(imp), HypStep(Atom(1)),
-                        MPStep(1, 2, Atom(2))))
-        out = prune(d)
-        assert len(out) == 3
-        assert out.conclusion == d.conclusion
-        assert out.hypotheses == d.hypotheses
-        assert check(out) == []
-
-    def test_reoffsets_mp_indices(self):
-        imp = parse("p1 -> p2")
-        d = Derivation(CalculusId.I, frozenset([imp, Atom(1)]),
-                       (HypStep(imp), HypStep(Atom(3)),   # dead, undeclared
-                        HypStep(Atom(1)), MPStep(0, 2, Atom(2))))
-        assert check(d) != []          # the dead line is itself invalid
-        out = prune(d)
-        assert check(out) == []        # but it is not cited, so pruning heals
-        assert out.conclusion == Atom(2)
-
-    def test_fully_live_returned_unchanged(self):
-        d = hypothesis(CalculusId.I, Atom(1))
-        assert prune(d) is d
 
 
 class TestProofIO:

@@ -3,8 +3,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from posprop.formula import Atom, Conj, Disj, Impl, conj_chain, parse
 from posprop.kernel import (AxiomStep, CalculusId, CheckError, Derivation,
-                            HypStep, MPStep, SchemeId, check, hypothesis,
-                            prune, verify)
+                            HypStep, MPStep, SchemeId, check, verify)
 from posprop.semantics import entails, evaluate, assignments_over
 from posprop.formula import atoms_of
 from posprop.kalmar import build_line, prove
@@ -16,7 +15,8 @@ from posprop.tactics import (DERIVABILITY, THESIS, EquivalencePair, LemmaId,
                              pair_to_biconditional,
                              reflexive_pair, split_conjunction,
                              substitute_equivalents, _deduction_body,
-                             _inject, _into, _reroute, _route)
+                             _inject, _into, _prune as prune, _reroute,
+                             _route, hypothesis)
 
 from test_formula import formulas
 
@@ -90,6 +90,40 @@ LEAST_CALCULUS = {
     LemmaId.L2_26: (CalculusId.P, [P1, P2, P3]),
     LemmaId.L5_1: (CalculusId.I, [P1, P2, P3]),
 }
+
+
+class TestConstructors:
+    def test_hypothesis(self):
+        d = hypothesis(CalculusId.ID, parse("p1 v p2"))
+        assert d.conclusion == parse("p1 v p2")
+
+
+class TestPrune:
+    def test_drops_uncited_steps(self):
+        imp = parse("p1 -> p2")
+        d = Derivation(CalculusId.I, frozenset([imp, Atom(1), Atom(3)]),
+                       (HypStep(Atom(3)),           # dead
+                        HypStep(imp), HypStep(Atom(1)),
+                        MPStep(1, 2, Atom(2))))
+        out = prune(d)
+        assert len(out) == 3
+        assert out.conclusion == d.conclusion
+        assert out.hypotheses == d.hypotheses
+        assert check(out) == []
+
+    def test_reoffsets_mp_indices(self):
+        imp = parse("p1 -> p2")
+        d = Derivation(CalculusId.I, frozenset([imp, Atom(1)]),
+                       (HypStep(imp), HypStep(Atom(3)),   # dead, undeclared
+                        HypStep(Atom(1)), MPStep(0, 2, Atom(2))))
+        assert check(d) != []          # the dead line is itself invalid
+        out = prune(d)
+        assert check(out) == []        # but it is not cited, so pruning heals
+        assert out.conclusion == Atom(2)
+
+    def test_fully_live_returned_unchanged(self):
+        d = hypothesis(CalculusId.I, Atom(1))
+        assert prune(d) is d
 
 
 class TestDeduction:

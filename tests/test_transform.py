@@ -5,12 +5,12 @@ import pytest
 from posprop import kalmar, transform
 from posprop.formula import (Atom, Conj, Disj, Impl, atoms_of,
                              enumerate_formulas, parse)
-from posprop.kernel import CalculusId, check, prune
+from posprop.kernel import CalculusId, check
 from posprop.semantics import (assignments_over, evaluate, find_countermodel,
                                is_tautology)
 from posprop.kalmar import (_LINE_CACHE, NotTautology, derive_from_hypotheses,
                             prove)
-from posprop.tactics import TacticError
+from posprop.tactics import TacticError, _prune as prune
 from posprop.transform import (Decomposition, GammaForm, decompose,
                                decompose_to_implicative, gamma,
                                gamma_equivalence, is_gamma_normal, prove_I,
@@ -180,6 +180,11 @@ class TestTau:
         assert check(pair.forward) == [] and check(pair.backward) == []
         assert pair.calculus is CalculusId.ID
 
+    @pytest.mark.parametrize("calc", [CalculusId.I, CalculusId.IC])
+    def test_equivalence_needs_disjunction_schemes(self, calc):
+        with pytest.raises(TacticError):
+            tau_equivalence(parse("p1 v p2"), calc)
+
 
 class TestTranslateDerivation:
     def test_translates_to_tau_image(self):
@@ -197,7 +202,7 @@ class TestTranslateDerivation:
         assert t.conclusion == f
 
     def test_rejects_open(self):
-        from posprop.kernel import hypothesis
+        from posprop.tactics import hypothesis
         with pytest.raises(TacticError):
             translate_derivation(hypothesis(CalculusId.ID, Atom(1)))
 
