@@ -10,6 +10,8 @@ prefix and code (stderr unless marked):
     OSError, TacticError, CheckError      2  "error: "
     RecursionError                        2  "error: input nested too deeply"
 
+A proof file nested too deeply to read is a ProofFormatError, so the
+RecursionError row is a formula argument or a synthesis nested too deeply.
 `check` of a proof that fails and `translate` of a proof it cannot map
 into I are those commands' own negatives, exit 1.
 """

@@ -76,6 +76,10 @@ class Atom(Formula):
     def __repr__(self):
         return f"Atom({self.index})"
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __new__, so the result is interned
+        return Atom, (self.index,)
+
 
 class _Binary(Formula):
     """A connective node; `mask` ORs the `bit` of every connective in it."""
@@ -99,6 +103,9 @@ class _Binary(Formula):
 
     def __repr__(self):
         return f"{type(self).__name__}({self.left!r}, {self.right!r})"
+
+    def __reduce__(self):
+        return type(self), (self.left, self.right)
 
 
 class Impl(_Binary):

@@ -6,7 +6,7 @@ derive the formula's positive encoding (when true) or negative encoding
 recursion (the lemma_3_* / lemma_4_* constructors below, which carry
 each encoding into the next by the tactics router, _into and _reroute;
 no constructor picks an Ax4/Ax5 step itself, so Lemma 3.4 is _close, a
-_reroute, of the true disjunct's line).  eliminate then merges them down
+_reroute, of a true disjunct's line).  eliminate then merges them down
 a decision tree that splits on the atoms, greatest first in the order R:
 each inner node discharges its atom from the true child by the deduction
 theorem and joins the false child by case analysis, so the atoms are
@@ -81,15 +81,6 @@ def _close(b: ProofBuilder, v: dict, premise: int, whole: Formula) -> int:
     return _reroute(b, premise, pos_encode(delta_set(v, whole), whole))
 
 
-def _named_side(a: Formula, bf: Formula, side: str) -> Formula:
-    """a for side "left", bf for "right"; any other side is a TacticError."""
-    if side == "left":
-        return a
-    if side == "right":
-        return bf
-    raise TacticError(f"side must be 'left' or 'right', not {side!r}")
-
-
 def lemma_3_1(v: dict, a: Formula, bf: Formula, db: Derivation) -> Derivation:
     """(Delta[v;B])^B ⊢ (Delta[v;A->B])^(A->B), for v(B) = T."""
     if not evaluate(v, bf):
@@ -131,12 +122,11 @@ def lemma_3_3(v: dict, a: Formula, bf: Formula, da: Derivation,
     return b.build(conclusion=out, hypotheses=da.hypotheses | db.hypotheses)
 
 
-def lemma_3_4(v: dict, a: Formula, bf: Formula, d: Derivation,
-              side: str) -> Derivation:
-    """(Delta[v;X])^X ⊢ (Delta[v;A v B])^(A v B), X the true disjunct on
-    side ("left" or "right")."""
-    if not evaluate(v, _named_side(a, bf, side)):
-        raise TacticError("3.4 needs the certified disjunct true")
+def lemma_3_4(v: dict, a: Formula, bf: Formula, d: Derivation) -> Derivation:
+    """(Delta[v;X])^X ⊢ (Delta[v;A v B])^(A v B), X a true disjunct; d is
+    X's line."""
+    if not (evaluate(v, a) or evaluate(v, bf)):
+        raise TacticError("3.4 needs a true disjunct")
     b = ProofBuilder(d.calculus)
     return b.build(conclusion=_close(b, v, b.include(d), Disj(a, bf)),
                    hypotheses=d.hypotheses)
@@ -179,14 +169,12 @@ def lemma_4_1(v: dict, a: Formula, bf: Formula, da: Derivation,
                    hypotheses=da.hypotheses | db.hypotheses)
 
 
-def lemma_4_2(v: dict, a: Formula, bf: Formula, d: Derivation,
-              side: str) -> Derivation:
-    """(Delta[v;X])^~X ⊢ (Delta[v;A&B])^~(A&B), X the false conjunct on
-    side ("left" or "right")."""
-    false_part = _named_side(a, bf, side)
-    scheme = SchemeId.AX7 if side == "left" else SchemeId.AX8
-    if evaluate(v, false_part):
-        raise TacticError("4.2 needs the certified conjunct false")
+def lemma_4_2(v: dict, a: Formula, bf: Formula, d: Derivation) -> Derivation:
+    """(Delta[v;X])^~X ⊢ (Delta[v;A&B])^~(A&B), X the first false conjunct;
+    d is X's line."""
+    scheme = SchemeId.AX8 if evaluate(v, a) else SchemeId.AX7
+    if scheme is SchemeId.AX8 and evaluate(v, bf):
+        raise TacticError("4.2 needs a false conjunct")
     c_chain = disj_chain(r_sorted(delta_set(v, Conj(a, bf))))
     b = ProofBuilder(d.calculus)
     x_c = _into(b, b.include(d), c_chain)           # X -> c_chain
@@ -234,18 +222,16 @@ def build_line(v: dict, a: Formula, calc: CalculusId) -> LineCertificate:
             if not evaluate(v, f.left):
                 return lemma_3_2(v, f.left, f.right, rec(f.left))
             return lemma_3_3(v, f.left, f.right, rec(f.left), rec(f.right))
+        left = evaluate(v, f.left)
         if isinstance(f, Disj):
-            if evaluate(v, f.left):
-                return lemma_3_4(v, f.left, f.right, rec(f.left), "left")
-            if evaluate(v, f.right):
-                return lemma_3_4(v, f.left, f.right, rec(f.right), "right")
+            if left or evaluate(v, f.right):
+                return lemma_3_4(v, f.left, f.right,
+                                 rec(f.left if left else f.right))
             return lemma_3_5(v, f.left, f.right, rec(f.left), rec(f.right))
         # conjunction: the positive-calculus extension
-        if evaluate(v, f.left) and evaluate(v, f.right):
+        if left and evaluate(v, f.right):
             return lemma_4_1(v, f.left, f.right, rec(f.left), rec(f.right))
-        if not evaluate(v, f.left):
-            return lemma_4_2(v, f.left, f.right, rec(f.left), "left")
-        return lemma_4_2(v, f.left, f.right, rec(f.right), "right")
+        return lemma_4_2(v, f.left, f.right, rec(f.right if left else f.left))
 
     gamma = gamma_set(v, a)  # before rec(a): names an atom v misses
     d = Derivation(calc, gamma, rec(a).steps)  # hypotheses exactly Gamma
@@ -286,21 +272,16 @@ def eliminate(a: Formula, calc: CalculusId) -> Derivation:
     The result is unchecked.
     """
     ordered = r_sorted(atoms_of(a))
-    v: dict = {}
 
-    def node(k: int) -> Derivation:
-        # ordered[k:] are fixed in v; split on ordered[k - 1]
+    def node(k: int, v: dict) -> Derivation:
+        # v fixes ordered[k:]; split on ordered[k - 1]
         if k == 0:
             return build_line(v, a, calc).derivation
         b1 = ordered[k - 1]
-        v[b1.index] = True
-        d_true = node(k - 1)                            # x from b1
+        d_true = node(k - 1, {**v, b1.index: True})     # x from b1
         if HypStep(b1) not in d_true.steps:
-            del v[b1.index]
             return Derivation(calc, d_true.hypotheses - {b1}, d_true.steps)
-        v[b1.index] = False
-        d_false = node(k - 1)                           # b1 v x
-        del v[b1.index]
+        d_false = node(k - 1, {**v, b1.index: False})   # b1 v x
         x = d_true.conclusion
         for i, step in enumerate(d_false.steps):
             if step.formula is x:
@@ -313,7 +294,7 @@ def eliminate(a: Formula, calc: CalculusId) -> Derivation:
         out = _reroute(b, i_false, x, {b1: i_imp})     # 2.18, in place
         return b.build(conclusion=out, hypotheses=d_false.hypotheses)
 
-    return node(len(ordered))
+    return node(len(ordered), {})
 
 
 def prove(a: Formula, calc: CalculusId) -> Derivation:

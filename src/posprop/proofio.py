@@ -10,8 +10,8 @@ Step numbers are 1-based.  `mp i j` cites the implication (major) first.
 Both formats spell a step as the same record: its kind, its operands, then
 its formula (`axiom Ax1 F`, `hyp F`, `mp i j F`).  A JSON step is that
 record as an object whose keys are the kind's field names in `_FIELDS`.
-Every fault in a file, an unparsable formula or an over-long number
-included, is a ProofFormatError.
+Every fault in a file, an unparsable formula, an over-long or non-ASCII
+number and too deep a nesting included, is a ProofFormatError.
 Serialization is canonical: hypotheses sorted by R, formulas printed with
 minimal parentheses, so write(read(text)) == text for emitted files.
 """
@@ -33,7 +33,7 @@ class ProofFormatError(ValueError):
 _FIELDS = {"axiom": ("kind", "scheme", "formula"), "hyp": ("kind", "formula"),
            "mp": ("kind", "major", "minor", "formula")}
 
-_STEP_RE = re.compile(r"(\d+)\. (axiom|hyp|mp) (.+)$")
+_STEP_RE = re.compile(r"([0-9]+)\. (axiom|hyp|mp) (.+)$")
 
 
 def _record(step) -> tuple:
@@ -74,6 +74,8 @@ def _assemble(fields, text: str) -> Derivation:
         raise ProofFormatError(str(exc)) from exc
     except (KeyError, TypeError) as exc:
         raise ProofFormatError(f"malformed proof document: {exc}") from exc
+    except RecursionError:
+        raise ProofFormatError("input nested too deeply") from None
 
 
 def _fields(d: Derivation) -> tuple:
@@ -109,8 +111,8 @@ def _text_fields(text: str) -> tuple:
         if int(m[1]) != len(records) + 1:
             raise ProofFormatError(
                 f"step numbered {int(m[1])}, expected {len(records) + 1}")
-        records.append((m[2], *[int(v) if v.isdecimal() else v
-                                for v in parts[:-1]], parts[-1]))
+        records.append((m[2], *[int(v) if v.isascii() and v.isdecimal()
+                                else v for v in parts[:-1]], parts[-1]))
     return (lines[0][len("calculus: "):].strip(),
             [ln[len("hyp: "):] for ln in lines[1:idx]], records)
 

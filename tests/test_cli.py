@@ -152,14 +152,10 @@ class TestJsonProofFile:
 _DEEP = "(" * 1000 + "p1" + ")" * 1000 + " -> p1"
 
 
-@pytest.mark.parametrize("command", ["tautology", "check"])
-def test_deep_nesting_exits_2(capsys, tmp_path, command):
-    arg = _DEEP
-    if command == "check":
-        path = tmp_path / "deep.txt"
-        path.write_text(f"calculus: I\nhyp: {_DEEP}\n1. hyp {_DEEP}\n")
-        arg = str(path)
-    code, _, err = run(capsys, command, arg)
+@pytest.mark.parametrize("command", ["tautology"])
+def test_deep_nesting_exits_2(capsys, command):
+    # a formula argument; a proof file nested as deeply is a row below
+    code, _, err = run(capsys, command, _DEEP)
     assert code == 2 and err == "error: input nested too deeply\n"
 
 
@@ -174,12 +170,18 @@ _LONG = "9" * (sys.get_int_max_str_digits() + 1)   # more than int() converts
     ("check", f'{{"calculus": "I", "hypotheses": [], "steps": [{{"kind": "mp", '
               f'"major": {_LONG}, "minor": 1, "formula": "p1"}}]}}',
      "malformed proof file:"),
-], ids=["atom", "step-number", "mp-index", "json-integer"])
+    ("check", f"calculus: I\nhyp: {_DEEP}\n1. hyp {_DEEP}\n",
+     "malformed proof file: input nested too deeply"),
+    ("check", "calculus: I\nhyp: p1\n\u0661. hyp p1\n", "malformed proof file:"),
+    ("check", "calculus: I\nhyp: p1\n1. hyp p1\n2. mp \u0661 \u0661 p1\n",
+     "malformed proof file:"),
+], ids=["atom", "step-number", "mp-index", "json-integer", "deep-nesting",
+        "non-ascii-step-number", "non-ascii-mp-index"])
 def test_oversized_integer_exits_2(capsys, tmp_path, command, text, prefix):
     arg = text
     if command == "check":
         path = tmp_path / "long.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         arg = str(path)
     code, _, err = run(capsys, command, arg)
     assert code == 2 and err.startswith(prefix)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 
 import pytest
@@ -8,7 +10,7 @@ from posprop.formula import (Atom, Conj, Disj, Impl, ParseError, atoms_of,
                              enumerate_formulas, gamma_set, neg_encode, parse,
                              pos_encode, pretty, r_key, r_sorted, replace_at,
                              subformula_at, subformulas)
-from posprop.kernel import CalculusId
+from posprop.kernel import AxiomStep, CalculusId, Derivation, HypStep, SchemeId
 
 
 def formulas(max_depth=4, atoms=(1, 2, 3)):
@@ -93,6 +95,16 @@ class TestInterning:
             Atom(True)      # an int, and == 1, but not an atom index
         with pytest.raises(ValueError, match="digits"):
             Atom(10 ** 5000)  # more digits than pretty can print
+
+    def test_copy_and_pickle_reintern(self):
+        f = parse("p1 -> p2 v p3 & p1")
+        for clone in (copy.copy, copy.deepcopy,
+                      lambda x: pickle.loads(pickle.dumps(x))):
+            assert clone(f) is f and clone(Atom(1)) is Atom(1)
+        d = Derivation(CalculusId.I, frozenset([Atom(1)]),
+                       (HypStep(Atom(1)),
+                        AxiomStep(SchemeId.AX1, parse("p1 -> p2 -> p1"))))
+        assert pickle.loads(pickle.dumps(d)) == d == copy.deepcopy(d)
 
 
 class TestFragments:

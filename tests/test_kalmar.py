@@ -79,16 +79,29 @@ class TestLemmaConstructors:
     def test_3_4(self):
         v = {1: True, 2: False}
         da = build_line(v, Atom(1), CalculusId.ID).derivation
-        d = lemma_3_4(v, Atom(1), Atom(2), da, "left")
+        d = lemma_3_4(v, Atom(1), Atom(2), da)
         assert d.conclusion == parse("p2 v (p1 v p2)")
         assert d.hypotheses == frozenset([Atom(1)])
 
-    @pytest.mark.parametrize("ctor", [lemma_3_4, lemma_4_2])
-    def test_side_is_left_or_right(self, ctor):
-        v = {1: True, 2: False}
-        d = build_line(v, Atom(1), CalculusId.P).derivation
-        with pytest.raises(TacticError, match="side"):
-            ctor(v, Atom(1), Atom(2), d, "middle")
+    def test_case_read_from_assignment(self):
+        # 3.4 takes either true disjunct's line; 4.2 projects the first
+        # false conjunct; neither applies when v leaves it no such part
+        v = {1: True, 2: True}
+        for x in (Atom(1), Atom(2)):
+            d = lemma_3_4(v, Atom(1), Atom(2),
+                          build_line(v, x, CalculusId.ID).derivation)
+            assert d.conclusion == parse("p1 v p2") and check(d) == []
+        v = {1: False, 2: False}
+        da = build_line(v, Atom(1), CalculusId.P).derivation
+        d = lemma_4_2(v, Atom(1), Atom(2), da)
+        assert d.conclusion == parse("p1 & p2 -> p1 v p2") and check(d) == []
+        assert AxiomStep(SchemeId.AX7, parse("p1 & p2 -> p1")) in d.steps
+        with pytest.raises(TacticError, match="3.4 needs a true disjunct"):
+            lemma_3_4(v, Atom(1), Atom(2), da)
+        v = {1: True, 2: True}
+        da = build_line(v, Atom(1), CalculusId.P).derivation
+        with pytest.raises(TacticError, match="4.2 needs a false conjunct"):
+            lemma_4_2(v, Atom(1), Atom(2), da)
 
     def test_3_5(self):
         v = {1: False, 2: False}
@@ -117,8 +130,8 @@ class TestLemmaConstructors:
     def test_4_2_both_orders(self):
         v = {1: False, 2: True}
         da = build_line(v, Atom(1), CalculusId.P).derivation
-        d_ab = lemma_4_2(v, Atom(1), Atom(2), da, "left")
-        d_ba = lemma_4_2(v, Atom(2), Atom(1), da, "right")
+        d_ab = lemma_4_2(v, Atom(1), Atom(2), da)
+        d_ba = lemma_4_2(v, Atom(2), Atom(1), da)
         assert d_ab.conclusion == parse("p1 & p2 -> p1")
         assert d_ba.conclusion == parse("p2 & p1 -> p1")
         assert check(d_ab) == [] and check(d_ba) == []

@@ -303,6 +303,9 @@ class TestSoundnessUnderMutation:
         assert check(d) or entails(list(d.hypotheses), d.conclusion)
 
 
+_DEEP = "(" * 5000 + "p1" + ")" * 5000   # deeper than the recursion limit
+
+
 class TestProofIO:
     def sample(self):
         imp = parse("p1 -> p2")
@@ -336,6 +339,7 @@ class TestProofIO:
         lambda t: "\n".join(t.splitlines()[1:]),   # drop the header
         lambda t: t.splitlines()[0] + "\n",        # no steps
         lambda t: t.replace("1. hyp p1 -> p2", "1. hyp p1 ->"),  # bad formula
+        lambda t: t.replace("1. hyp p1 -> p2", f"1. hyp {_DEEP}"),
     ])
     def test_malformed_rejected(self, mangle):
         with pytest.raises(ProofFormatError):
@@ -344,7 +348,8 @@ class TestProofIO:
     @pytest.mark.parametrize("text", [
         "{not json",
         '{"calculus": "ID", "hypotheses": [], "steps": []}',
-    ], ids=["invalid-json", "no-steps"])
+        "[" * 100_000,
+    ], ids=["invalid-json", "no-steps", "deep-array"])
     def test_malformed_json_rejected(self, text):
         with pytest.raises(ProofFormatError):
             from_json(text)
@@ -356,8 +361,9 @@ class TestProofIO:
         lambda doc: doc.update(steps={"1": doc["steps"][0]}),
         lambda doc: doc["steps"][3].update(scheme="Ax0"),
         lambda doc: doc["steps"][0].update(formula="p1 ->"),
+        lambda doc: doc["steps"][0].update(formula=_DEEP),
     ], ids=["float-index", "bool-index", "string-hypotheses", "object-steps",
-            "unknown-scheme", "unparsable-formula"])
+            "unknown-scheme", "unparsable-formula", "deep-formula"])
     def test_ill_typed_json_rejected(self, mangle):
         doc = json.loads(to_json(self.sample()))
         mangle(doc)
