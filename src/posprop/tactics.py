@@ -10,7 +10,8 @@ checker once on their result.  `deduction` also checks the caller's
 derivation on the way in.  The deduction theorem is dependency-aware:
 steps that do not cite the discharged hypothesis are copied, and only the
 others are lifted through Ax1/Ax2, so a discharge costs a few steps per
-dependent step rather than a few per step.
+dependent step rather than a few per step.  It reuses any line its
+builder already holds, lifted or not, before it builds one.
 
 The central tool is ProofBuilder, which accumulates steps, deduplicates
 lines by formula (a sound peephole: an identical earlier line under the
@@ -180,7 +181,8 @@ def deduction(d: Derivation, a: Formula) -> Derivation:
 
     Dependency-aware: only the steps that cite a, directly or through
     earlier steps, are lifted to a -> (step); the others are copied as
-    they are (see _deduction_body).  The kernel checks d on the way in,
+    they are, and a line already built is reused (see _deduction_body).
+    The kernel checks d on the way in,
     so a bad input raises CheckError; the result is not checked again.
     """
     if a not in d.hypotheses:
@@ -196,25 +198,35 @@ def _deduction_body(d: Derivation, a: Formula) -> Derivation:
     that cites a is simulated with Ax2, and its other premise, if it does
     not cite a, is lifted once by Ax1 and MP.  The conclusion, if it does
     not cite a, is lifted the same way, so when a is not a hypothesis at
-    all the result is d followed by Ax1 and MP.  Neither d nor the result
-    is checked: package code checks at its boundary."""
+    all the result is d followed by Ax1 and MP.  Every line of the builder
+    is free of a, so its formula table is a memo of what is proved: a step
+    whose formula has a line becomes that line, even if it cites a, and a
+    lift or an Ax2 simulation whose a -> f has a line reuses it.  Neither
+    d nor the result is checked: package code checks at its boundary."""
     b = ProofBuilder(d.calculus)
-    copied = {}   # old index -> line proving the old formula (steps not citing a)
+    held = b._by_formula
+    copied = {}   # old index -> line proving the old formula
     lifted = {}   # old index -> line proving a -> (old formula)
 
     def lift(i: int) -> int:
         if i not in lifted:
-            ax1 = b.axiom(SchemeId.AX1, A=d.steps[i].formula, B=a)
-            lifted[i] = b.mp(ax1, copied[i])
+            f = d.steps[i].formula
+            lifted[i] = held.get(Impl(a, f))
+            if lifted[i] is None:
+                lifted[i] = b.mp(b.axiom(SchemeId.AX1, A=f, B=a), copied[i])
         return lifted[i]
 
     for i, step in enumerate(d.steps):
         if isinstance(step, HypStep) and step.formula == a:
             lifted[i] = _identity(b, a)
+        elif step.formula in held:
+            copied[i] = held[step.formula]
         elif not isinstance(step, MPStep):
             copied[i] = b._add(step)
         elif step.major in copied and step.minor in copied:
             copied[i] = b.mp(copied[step.major], copied[step.minor])
+        elif Impl(a, step.formula) in held:
+            lifted[i] = held[Impl(a, step.formula)]
         else:
             minor = d.steps[step.minor].formula
             ax2 = b.axiom(SchemeId.AX2, A=a, B=minor, C=step.formula)

@@ -2,7 +2,11 @@
 
 import ast
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,3 +55,18 @@ def test_tracer_only_names_are_still_imported():
     for module, name in sorted(TRACER_ONLY):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         assert name in unused_imports(tree), f"{module}.{name}"
+
+
+def test_import_builds_no_table():
+    # the scheme patterns and a few constants are all that import interns;
+    # a table or memo built at import would show here
+    probe = ("import json, posprop, posprop.cli, posprop.transform, posprop.proofio\n"
+             "from posprop import formula, kalmar, kernel\n"
+             "print(json.dumps([len(formula._BINARY_INTERN), len(formula._ATOM_INTERN),"
+             " len(kalmar._LINE_CACHE), kernel._is_instance.cache_info().currsize]))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert json.loads(out.stdout) == [22, 3, 0, 0]

@@ -178,10 +178,35 @@ class TestCheck:
                        (HypStep(imp), MPStep(1, 0, Atom(2))))
         assert codes(check(d)) == ["forward-reference"]
 
+    def test_minor_self_reference_rejected(self):
+        # the identity proof of p1 -> p1, then an MP whose minor premise is
+        # itself: accepted, it would be a closed proof of p1
+        p1, aa = Atom(1), parse("p1 -> p1")
+        steps = (AxiomStep(SchemeId.AX2, SchemeId.AX2.build(p1, aa, p1)),
+                 AxiomStep(SchemeId.AX1, SchemeId.AX1.build(p1, aa)),
+                 MPStep(0, 1, parse("(p1 -> p1 -> p1) -> p1 -> p1")),
+                 AxiomStep(SchemeId.AX1, SchemeId.AX1.build(p1, p1)),
+                 MPStep(2, 3, aa))
+        assert check(Derivation(CalculusId.I, frozenset(), steps)) == []
+        d = Derivation(CalculusId.I, frozenset(), steps + (MPStep(4, 5, p1),))
+        assert codes(check(d)) == ["forward-reference"]
+
     def test_fragment_violation(self):
         d = Derivation(CalculusId.I, frozenset([parse("p1 v p2")]),
                        (HypStep(parse("p1 v p2")),))
         assert set(codes(check(d))) == {"fragment-violation"}
+
+    def test_uncited_hypothesis_outside_the_calculus(self):
+        d = Derivation(CalculusId.I, frozenset([Atom(1), parse("p1 v p2")]),
+                       (HypStep(Atom(1)),))
+        assert [(e.index, e.code) for e in check(d)] == [(-1, "fragment-violation")]
+
+    def test_steps_are_frozen(self):
+        steps = [HypStep(Atom(1))]
+        d = Derivation(CalculusId.I, frozenset([Atom(1)]), steps)
+        steps.append(HypStep(Atom(2)))
+        assert d.steps == (HypStep(Atom(1)),)
+        assert check(d) == []
 
     def test_fragment_violation_names_the_calculus(self):
         d = Derivation(CalculusId.I, frozenset(),

@@ -13,7 +13,7 @@ from posprop.proofio import write_text
 from posprop.semantics import is_tautology
 from posprop.transform import prove_I
 
-PINNED = "facadf82f6c04d47e541c11a152d78f9947f35927864b3370fed86554a22d151"
+PINNED = "e3d5f00fe61c8e21dcf91d3d522bdd81d3d2405bc0ae88bed260c2d28372bbd5"
 
 
 def _tautologies(max_connectives, atom_indices, language):
