@@ -9,8 +9,8 @@ no constructor picks an Ax4/Ax5 step itself, so Lemma 3.4 is _close, a
 _reroute, of a true disjunct's line).  eliminate then merges them down
 a decision tree that splits on the atoms, greatest first in the order R:
 each inner node discharges its atom from the true child by the deduction
-theorem and joins the false child by case analysis, so the atoms are
-eliminated least first in the order R.
+theorem into the false child's builder and joins the two by case analysis,
+so the atoms are eliminated least first in the order R.
 
 Both levels build only what the proof cites.  A node whose true child
 never cites the split atom returns that child and builds no false
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 from .formula import (Atom, Conj, Disj, Formula, Impl, atoms_of, delta_set,
                       disj_chain, gamma_set, pos_encode, neg_encode, r_sorted)
-# `deduction` is not called here; it stays bound as kalmar.deduction for
-# the per-module tracer in perfbench/spans.py, which also wraps kalmar.prune
+# `deduction`, `_deduction_body` and `prune` are not called here; they stay
+# bound as kalmar attributes for the per-module tracer in perfbench/spans.py
 from .kernel import (AxiomStep, CalculusId, Derivation, HypStep, SchemeId,
                      _is_instance, verify)
 from .semantics import evaluate, find_countermodel
@@ -160,11 +160,8 @@ def lemma_4_1(v: dict, a: Formula, bf: Formula, da: Derivation,
     cva = _reroute(b, b.include(da), Disj(c_chain, a))
     cvb = _reroute(b, b.include(db), Disj(c_chain, bf))
     packed = _conj_intro(b, cva, cvb)
-    # l2_25's backward half as a thesis: spliced by hyp_map, its lines merge
-    # with cva/cvb into a redundant case split when a is a true atom
     back = l2_25(c_chain, a, bf, da.calculus).backward
-    thesis = b.include(_deduction_body(back, b.formula_at(packed)))
-    undistributed = b.mp(thesis, packed)                # c_chain v (a&b)
+    undistributed = b.include(back, hyp_map={b.formula_at(packed): packed})
     return b.build(conclusion=_close(b, v, undistributed, conj),
                    hypotheses=da.hypotheses | db.hypotheses)
 
@@ -257,19 +254,19 @@ def eliminate(a: Formula, calc: CalculusId) -> Derivation:
     A node fixes the atoms above some atom B in the order R and splits on
     B, so a leaf fixes every atom and is build_line's line: (J)^a from the
     true atoms, J the false ones.  With J the node's false atoms, the
-    B-true child is discharged by DT to B -> (J)^a, the B-false child
-    concludes B v (J)^a (B is R-least in J + B), and the two resolve by
-    2.18's case split, routed in place, into (J)^a from the node's true
-    atoms.
+    B-false child, B v (J)^a (B is R-least in J + B), is spliced into the
+    node's one builder, the B-true child is discharged by DT into it to
+    B -> (J)^a, reusing the false child's lines (none cites B), and 2.18's
+    case split, routed in place, resolves the two into (J)^a from the
+    node's true atoms: the first line of (J)^a its builder holds.
 
     Only what the proof cites is built.  The B-true child comes first; if
     it never cites B (builders prune, so a hypothesis line present is a
     cited one), it is the node's result, with no false subtree, discharge
     or join.  Nor is there a discharge or join when a line of the B-false
-    child is (J)^a: that line, pruned, is the node's result.  A goal (J)^a
-    that instantiates an axiom scheme is also the all-true leaf's line, one
-    axiom step citing no atom, which each true child passes up unchanged.
-    The result is unchecked.
+    child is (J)^a.  A goal (J)^a that instantiates an axiom scheme is
+    also the all-true leaf's line, one axiom step citing no atom, which
+    each true child passes up unchanged.  The result is unchecked.
     """
     ordered = r_sorted(atoms_of(a))
 
@@ -281,18 +278,13 @@ def eliminate(a: Formula, calc: CalculusId) -> Derivation:
         d_true = node(k - 1, {**v, b1.index: True})     # x from b1
         if HypStep(b1) not in d_true.steps:
             return Derivation(calc, d_true.hypotheses - {b1}, d_true.steps)
-        d_false = node(k - 1, {**v, b1.index: False})   # b1 v x
         x = d_true.conclusion
-        for i, step in enumerate(d_false.steps):
-            if step.formula is x:
-                return prune(Derivation(calc, d_false.hypotheses,
-                                        d_false.steps[:i + 1]))
-        discharged = _deduction_body(d_true, b1)        # b1 -> x
         b = ProofBuilder(calc)
-        i_false = b.include(d_false)
-        i_imp = b.include(discharged)
-        out = _reroute(b, i_false, x, {b1: i_imp})     # 2.18, in place
-        return b.build(conclusion=out, hypotheses=d_false.hypotheses)
+        i_false = b.include(node(k - 1, {**v, b1.index: False}))  # b1 v x
+        if x not in b._by_formula:   # 2.18, in place; b1 -> x by DT
+            _reroute(b, i_false, x, {b1: b.discharge(d_true, b1)})
+        return b.build(conclusion=b._by_formula[x],
+                       hypotheses=d_true.hypotheses - {b1})
 
     return node(len(ordered), {})
 

@@ -10,8 +10,10 @@ checker once on their result.  `deduction` also checks the caller's
 derivation on the way in.  The deduction theorem is dependency-aware:
 steps that do not cite the discharged hypothesis are copied, and only the
 others are lifted through Ax1/Ax2, so a discharge costs a few steps per
-dependent step rather than a few per step.  It reuses any line its
-builder already holds, lifted or not, before it builds one.
+dependent step rather than a few per step.  ProofBuilder.discharge builds
+its lines in the builder that uses them, as include splices a derivation,
+and reuses any line it already holds, lifted or not, before it builds
+one; `deduction` discharges into a fresh builder.
 
 The central tool is ProofBuilder, which accumulates steps, deduplicates
 lines by formula (a sound peephole: an identical earlier line under the
@@ -148,6 +150,51 @@ class ProofBuilder:
         return _prune(Derivation(self.calculus, frozenset(hypotheses),
                                  tuple(self.steps[:conclusion + 1])))
 
+    def discharge(self, d: Derivation, a: Formula) -> int:
+        """Splice d with its hypothesis a discharged, as include splices d:
+        the line proving a -> C, C the conclusion of d.  Precondition: no
+        line of the builder is the hypothesis a, so every line is free of
+        a and the formula table is a memo of what is proved.
+
+        A step that does not cite a (an axiom, another hypothesis, an MP
+        of two such steps) is copied; the hypothesis a becomes the identity
+        proof of a -> a; an MP with a premise that cites a is simulated
+        with Ax2, and its other premise, if it does not cite a, is lifted
+        once by Ax1 and MP, as is the conclusion if it does not cite a.  A
+        step whose formula has a line becomes that line, even if it cites
+        a, and a lift or an Ax2 simulation whose a -> f has a line reuses
+        it.  Neither d nor the result is checked."""
+        held = self._by_formula
+        copied = {}   # old index -> line proving the old formula
+        lifted = {}   # old index -> line proving a -> (old formula)
+
+        def lift(i: int) -> int:
+            if i not in lifted:
+                f = d.steps[i].formula
+                lifted[i] = held.get(Impl(a, f))
+                if lifted[i] is None:
+                    lifted[i] = self.mp(self.axiom(SchemeId.AX1, A=f, B=a),
+                                        copied[i])
+            return lifted[i]
+
+        for i, step in enumerate(d.steps):
+            if isinstance(step, HypStep) and step.formula == a:
+                lifted[i] = _identity(self, a)
+            elif step.formula in held:
+                copied[i] = held[step.formula]
+            elif not isinstance(step, MPStep):
+                copied[i] = self._add(step)
+            elif step.major in copied and step.minor in copied:
+                copied[i] = self.mp(copied[step.major], copied[step.minor])
+            elif Impl(a, step.formula) in held:
+                lifted[i] = held[Impl(a, step.formula)]
+            else:
+                minor = d.steps[step.minor].formula
+                ax2 = self.axiom(SchemeId.AX2, A=a, B=minor, C=step.formula)
+                lifted[i] = self.mp(self.mp(ax2, lift(step.major)),
+                                    lift(step.minor))
+        return lift(len(d.steps) - 1)
+
 
 def _identity(b: ProofBuilder, a: Formula) -> int:
     """The Ax1/Ax2 five-line proof of a -> a."""
@@ -192,47 +239,10 @@ def deduction(d: Derivation, a: Formula) -> Derivation:
 
 
 def _deduction_body(d: Derivation, a: Formula) -> Derivation:
-    """The transformation behind deduction.  A step that does not cite a
-    (an axiom, another hypothesis, an MP of two such steps) is copied; the
-    hypothesis a becomes the identity proof of a -> a; an MP with a premise
-    that cites a is simulated with Ax2, and its other premise, if it does
-    not cite a, is lifted once by Ax1 and MP.  The conclusion, if it does
-    not cite a, is lifted the same way, so when a is not a hypothesis at
-    all the result is d followed by Ax1 and MP.  Every line of the builder
-    is free of a, so its formula table is a memo of what is proved: a step
-    whose formula has a line becomes that line, even if it cites a, and a
-    lift or an Ax2 simulation whose a -> f has a line reuses it.  Neither
-    d nor the result is checked: package code checks at its boundary."""
+    """deduction unchecked: discharge into a fresh builder, so when a is
+    not a hypothesis at all the result is d followed by Ax1 and MP."""
     b = ProofBuilder(d.calculus)
-    held = b._by_formula
-    copied = {}   # old index -> line proving the old formula
-    lifted = {}   # old index -> line proving a -> (old formula)
-
-    def lift(i: int) -> int:
-        if i not in lifted:
-            f = d.steps[i].formula
-            lifted[i] = held.get(Impl(a, f))
-            if lifted[i] is None:
-                lifted[i] = b.mp(b.axiom(SchemeId.AX1, A=f, B=a), copied[i])
-        return lifted[i]
-
-    for i, step in enumerate(d.steps):
-        if isinstance(step, HypStep) and step.formula == a:
-            lifted[i] = _identity(b, a)
-        elif step.formula in held:
-            copied[i] = held[step.formula]
-        elif not isinstance(step, MPStep):
-            copied[i] = b._add(step)
-        elif step.major in copied and step.minor in copied:
-            copied[i] = b.mp(copied[step.major], copied[step.minor])
-        elif Impl(a, step.formula) in held:
-            lifted[i] = held[Impl(a, step.formula)]
-        else:
-            minor = d.steps[step.minor].formula
-            ax2 = b.axiom(SchemeId.AX2, A=a, B=minor, C=step.formula)
-            lifted[i] = b.mp(b.mp(ax2, lift(step.major)), lift(step.minor))
-    return b.build(conclusion=lift(len(d.steps) - 1),
-                   hypotheses=d.hypotheses - {a})
+    return b.build(conclusion=b.discharge(d, a), hypotheses=d.hypotheses - {a})
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +546,9 @@ def l2_11(a, bf, calculus=CalculusId.ID) -> Derivation:
     inner = ProofBuilder(calculus)
     h = inner.hyp(Impl(x, bf))
     ab = _compose(inner, _route(inner, a, x, {}), h)  # a -> b
-    d = _deduction_body(inner.build(conclusion=_reroute(inner, ab, x)),
-                        Impl(x, bf))
     b = ProofBuilder(calculus)
-    premise = b.include(d)
+    premise = b.discharge(inner.build(conclusion=_reroute(inner, ab, x)),
+                          Impl(x, bf))
     peirce = b.axiom(SchemeId.AX3, A=x, B=bf)
     return b.build(conclusion=b.mp(peirce, premise), hypotheses=())
 
@@ -729,14 +738,14 @@ def _distribution(c, a, bf, calculus, c_first: bool) -> EquivalencePair:
     m = ProofBuilder(calculus)
     hyps = {f: m.hyp(f) for f in (inner, outer)}
     lift = _reroute(m, _conj_intro(m, hyps[a], hyps[bf]), left)
-    m_line = b2.include(_deduction_body(_deduction_body(
-        m.build(conclusion=lift), outer), inner))
+    m_line = b2.discharge(_deduction_body(m.build(conclusion=lift), outer),
+                          inner)
 
     # c -> (outer -> left)
     k = ProofBuilder(calculus)
     lx = _reroute(k, k.hyp(c), left)
     weak = k.mp(k.axiom(SchemeId.AX1, A=left, B=outer), lx)
-    c_line = b2.include(_deduction_body(k.build(conclusion=weak), c))
+    c_line = b2.discharge(k.build(conclusion=weak), c)
 
     outer_left = _reroute(b2, s_inner, Impl(outer, left),
                           {c: c_line, inner: m_line})
@@ -795,7 +804,7 @@ def _congruence(context: Formula, direction: str,
             return _deduction_body(
                 b.build(conclusion=out, hypotheses={src, dst.left}), dst.left)
         if ctor is Disj:
-            child_imp = b.include(_deduction_body(inner_fwd, old_child))
+            child_imp = b.discharge(inner_fwd, old_child)
             out = _reroute(b, h, dst, {old_child: _into(b, child_imp, dst)})
             return b.build(conclusion=out, hypotheses={src})
         table: dict = {}                  # &: tear down, swap, rebuild

@@ -228,9 +228,8 @@ def _translate(d: Derivation) -> Derivation:
         elif step.scheme is SchemeId.AX6:
             x, y, z = sub["A"], sub["B"], sub["C"]
             body = l5_1(x, y, z, CalculusId.I)
-            closed = _discharge(_discharge(_discharge(
+            lines[i] = b.discharge(_discharge(_discharge(
                 body, Impl(Impl(x, y), y)), Impl(y, z)), Impl(x, z))
-            lines[i] = b.include(closed)
         else:
             raise TacticError(f"{step.scheme} has no implicative image")
     return b.build(conclusion=lines[len(d.steps) - 1], hypotheses=())

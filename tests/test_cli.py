@@ -101,6 +101,13 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 1 and "bad-axiom-instance" in out
 
+    def test_forward_reference_names_the_cited_steps(self, capsys, tmp_path):
+        path = tmp_path / "forward.txt"
+        path.write_text("calculus: I\nhyp: p1\n1. hyp p1\n2. mp 3 1 p1\n")
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 1
+        assert out == "step 2: forward-reference: MP cites steps 3, 1\n"
+
     def test_hypotheses_listed_in_R_order(self, capsys, tmp_path):
         # as the proof file lists them: p2 precedes p10 in R, not in str
         path = tmp_path / "open.txt"

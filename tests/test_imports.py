@@ -14,7 +14,8 @@ PACKAGE = pathlib.Path(
     importlib.util.find_spec("posprop").submodule_search_locations[0])
 
 # bound only so that perfbench/spans.py can wrap them as module attributes
-TRACER_ONLY = {("kalmar", "deduction"),
+TRACER_ONLY = {("kalmar", "deduction"), ("kalmar", "prune"),
+               ("kalmar", "_deduction_body"),
                ("transform", "prove"), ("transform", "deduction")}
 
 

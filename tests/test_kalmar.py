@@ -284,7 +284,21 @@ class TestProve:
         lengths = [len(prove(f, CalculusId.ID)) for f in enumerate_formulas(
             3, [1, 2], CalculusId.ID) if is_tautology(f)]
         assert len(lengths) == 346
-        assert sum(lengths) <= 17_359 and max(lengths) <= 195
+        assert sum(lengths) <= 9_963 and max(lengths) <= 170
+
+    @pytest.mark.parametrize("text,calc,most", [
+        # the p1-false leaf is the identity proof of p1 -> p1 (2.5), which
+        # already holds the goal
+        ("p1 -> p1", CalculusId.ID, 5),
+        ("p1 -> ((p1 -> p1) -> p2) -> p2", CalculusId.ID, 21),
+        ("(p1 v (p1 -> p2)) & (p2 v (p2 -> p3)) & (p3 v (p3 -> p1))",
+         CalculusId.P, 69),
+    ], ids=["identity", "nested", "excluded-middle"])
+    def test_node_discharge_reuses_the_false_child(self, text, calc, most):
+        f = parse(text)
+        d = prove(f, calc)
+        assert d.conclusion == f and not d.hypotheses
+        assert len(d) <= most
 
     def test_join_splits_a_disjunctive_side_by_the_router(self):
         # the 2.18 joins split each disjunctive side by Ax6 over Ax4/Ax5

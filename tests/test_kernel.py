@@ -224,6 +224,16 @@ class TestCheck:
         with pytest.raises(CheckError):
             verify(d)
 
+    def test_check_error_text_joins_its_errors(self):
+        d = Derivation(CalculusId.I, frozenset(),
+                       (HypStep(Atom(1)), HypStep(Atom(2))))
+        with pytest.raises(CheckError) as exc:
+            verify(d)
+        assert str(exc.value) == (
+            "step 1: hypothesis-not-declared: p1 not among the declared "
+            "hypotheses; step 2: hypothesis-not-declared: p2 not among the "
+            "declared hypotheses")
+
     _IMP = parse("p1 -> p2")
     _I = CalculusId.I
 

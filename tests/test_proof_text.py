@@ -13,7 +13,7 @@ from posprop.proofio import write_text
 from posprop.semantics import is_tautology
 from posprop.transform import prove_I
 
-PINNED = "e3d5f00fe61c8e21dcf91d3d522bdd81d3d2405bc0ae88bed260c2d28372bbd5"
+PINNED = "4aa2a16e125cdfaf161f0c32c8f771fb4cc81bdb2a6f49a25737a9a58439a7b6"
 
 
 def _tautologies(max_connectives, atom_indices, language):

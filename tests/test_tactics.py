@@ -256,6 +256,23 @@ class TestDependencyAwareDeduction:
         assert d.conclusion == f and not d.hypotheses
         assert len(d) <= 3
 
+    def test_discharge_cites_a_line_its_builder_holds(self):
+        # the builder already proves p2, the formula of the step that cites
+        # p1, so the discharge copies that line and lifts only p3; the same
+        # discharge in a fresh builder simulates both MPs by Ax2
+        imp, then = parse("p1 -> p2"), parse("p2 -> p3")
+        d = verify(Derivation(CalculusId.I, frozenset([imp, P1, then]),
+                              (HypStep(imp), HypStep(P1), MPStep(0, 1, P2),
+                               HypStep(then), MPStep(3, 2, P3))))
+        spliced, fresh = ProofBuilder(CalculusId.I), ProofBuilder(CalculusId.I)
+        spliced.hyp(P2)
+        fresh.hyp(P2)
+        out = spliced.build(conclusion=spliced.discharge(d, P1))
+        ref = fresh.build(conclusion=fresh.include(_deduction_body(d, P1)))
+        assert check(out) == [] and out.conclusion == Impl(P1, P3)
+        assert HypStep(P2) in out.steps and HypStep(P2) not in ref.steps
+        assert len(out) < len(ref)
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_chain_proofs_stay_linear(self, n):
         assert len(prove(_chain(n), CalculusId.ID)) <= 6 * n

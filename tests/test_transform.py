@@ -219,6 +219,12 @@ class TestRoutes:
         assert d.calculus is CalculusId.I
         assert d.conclusion == f and not d.hypotheses
 
+    def test_prove_I_takes_the_short_id_proof(self):
+        f = parse("(p3 -> p2) -> p3 -> p2")
+        d = prove_I(f)
+        assert d.conclusion == f and not d.hypotheses
+        assert len(d) <= 349
+
     def test_prove_I_fragment_checked(self):
         with pytest.raises(TacticError):
             prove_I(parse("p1 v p2"))
