@@ -16,9 +16,11 @@ Both levels build only what the proof cites.  A node whose true child
 never cites the split atom returns that child and builds no false
 subtree, one whose false child has a line proving its goal returns that
 line, and neither builds a discharge or join.  A line target that
-instantiates an axiom scheme of the calculus is that one step; an axiom
-node goal is the target of its all-true leaf, and comes up through its
-true children (Peirce's law ((p1 -> p2) -> p1) -> p1 is one Ax3 step).
+instantiates a row of the principal-theorem table (see principal) is
+that row's proof, which cites no atom; a node goal that instantiates a
+row is the target of its all-true leaf, and comes up through its true
+children (Peirce's law ((p1 -> p2) -> p1) -> p1 is one Ax3 step, and
+p1 -> p1 the 5-step identity proof).
 
 The constructors, build_line, eliminate and synthesize return unchecked
 derivations; prove and derive_from_hypotheses run the kernel checker once
@@ -33,8 +35,8 @@ from .formula import (Atom, Conj, Disj, Formula, Impl, atoms_of, delta_set,
                       disj_chain, gamma_set, pos_encode, neg_encode, r_sorted)
 # `deduction`, `_deduction_body` and `prune` are not called here; they stay
 # bound as kalmar attributes for the per-module tracer in perfbench/spans.py
-from .kernel import (AxiomStep, CalculusId, Derivation, HypStep, SchemeId,
-                     _is_instance, verify)
+from .kernel import CalculusId, Derivation, HypStep, SchemeId, verify
+from .principal import derive
 from .semantics import evaluate, find_countermodel
 from .tactics import (ProofBuilder, TacticError, _compose, _conj_intro,
                       _deduction_body, _into, _prune as prune, _reroute, _route,
@@ -56,16 +58,6 @@ class LineCertificate:
     assignment: dict
     polarity: str  # "positive" | "negative"
     derivation: Derivation
-
-
-def _as_axiom(calc: CalculusId, hypotheses, goal: Formula):
-    """goal as a one-step derivation from hypotheses when it instantiates
-    a scheme of calc, else None.  calc.schemes is in SchemeId order, so
-    p1 -> p1 v p1, an instance of both Ax4 and Ax5, is proved by Ax4."""
-    for scheme in calc.schemes:
-        if _is_instance(scheme, goal):
-            return Derivation(calc, hypotheses, (AxiomStep(scheme, goal),))
-    return None
 
 
 def _line_target(v: dict, f: Formula) -> Formula:
@@ -185,9 +177,10 @@ def lemma_4_2(v: dict, a: Formula, bf: Formula, d: Derivation) -> Derivation:
 def build_line(v: dict, a: Formula, calc: CalculusId) -> LineCertificate:
     """The per-assignment certificate: from the true atoms of a, derive the
     positive encoding of a (if v makes a true) or the negative one.  The
-    line of a subformula whose own target instantiates an axiom scheme of
-    calc is that one axiom step, with the subformula's true atoms as its
-    hypotheses.  The certificate's derivation is unchecked."""
+    line of a subformula whose own target instantiates a row of calc's
+    principal-theorem table is that row's proof, with the subformula's
+    true atoms as its hypotheses and citing none of them.  The
+    certificate's derivation is unchecked."""
     if calc not in (CalculusId.ID, CalculusId.P):
         raise TacticError(f"line construction runs in ID or P, not {calc}")
     if not calc.admits(a):
@@ -206,9 +199,9 @@ def build_line(v: dict, a: Formula, calc: CalculusId) -> LineCertificate:
         return d
 
     def _rec_uncached(f: Formula) -> Derivation:
-        axiom = _as_axiom(calc, gamma_set(v, f), _line_target(v, f))
-        if axiom is not None:
-            return axiom
+        tabled = derive(calc, gamma_set(v, f), _line_target(v, f))
+        if tabled is not None:
+            return tabled
         if isinstance(f, Atom):
             if v[f.index]:
                 return hypothesis(calc, f)
@@ -264,9 +257,10 @@ def eliminate(a: Formula, calc: CalculusId) -> Derivation:
     it never cites B (builders prune, so a hypothesis line present is a
     cited one), it is the node's result, with no false subtree, discharge
     or join.  Nor is there a discharge or join when a line of the B-false
-    child is (J)^a.  A goal (J)^a that instantiates an axiom scheme is
-    also the all-true leaf's line, one axiom step citing no atom, which
-    each true child passes up unchanged.  The result is unchecked.
+    child is (J)^a.  A goal (J)^a that instantiates a row of the
+    principal-theorem table is also the all-true leaf's line, the row's
+    proof citing no atom, which each true child passes up unchanged.  The
+    result is unchecked.
     """
     ordered = r_sorted(atoms_of(a))
 

@@ -58,6 +58,8 @@ class SchemeId(Enum):
     AX8 = "Ax8", lambda A, B: Impl(Conj(A, B), B)
     AX9 = "Ax9", lambda A, B: Impl(A, Impl(B, Conj(A, B)))
 
+    __hash__ = object.__hash__   # members are singletons; Enum's hashes the name
+
     def __str__(self):
         return self.value
 
@@ -98,6 +100,8 @@ class CalculusId(Enum):
     ID = Disj.bit
     IC = Conj.bit
     P = Disj.bit | Conj.bit
+
+    __hash__ = object.__hash__
 
     def __init__(self, mask: int):
         self.mask = mask

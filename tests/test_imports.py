@@ -62,12 +62,13 @@ def test_import_builds_no_table():
     # the scheme patterns and a few constants are all that import interns;
     # a table or memo built at import would show here
     probe = ("import json, posprop, posprop.cli, posprop.transform, posprop.proofio\n"
-             "from posprop import formula, kalmar, kernel\n"
+             "from posprop import formula, kalmar, kernel, principal\n"
              "print(json.dumps([len(formula._BINARY_INTERN), len(formula._ATOM_INTERN),"
-             " len(kalmar._LINE_CACHE), kernel._is_instance.cache_info().currsize]))")
+             " len(kalmar._LINE_CACHE), kernel._is_instance.cache_info().currsize,"
+             " sum(len(rows) for rows, _ in principal._TABLES.values())]))")
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                          os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})
-    assert json.loads(out.stdout) == [22, 3, 0, 0]
+    assert json.loads(out.stdout) == [22, 3, 0, 0, 0]

@@ -219,10 +219,12 @@ class TestEliminate:
 
     @pytest.mark.parametrize("text,leaves", [
         # p1 never cited below p2 = T or p2 = F: one leaf per value of p2
-        ("p1 -> p2 -> p2", 2),
         ("(p1 -> p2) -> (p2 -> p3) -> p1 -> p3", 4),
-        # an axiom goal is the line target of the all-true leaf
+        # a goal that instantiates a row of the principal-theorem table,
+        # here an axiom and Ax1 detached from the identity proof, is the
+        # line target of the all-true leaf, and its proof cites no atom
         ("((p1 -> p2) -> p1) -> p1", 1),
+        ("p1 -> p2 -> p2", 1),
     ])
     def test_uncited_false_subtrees_are_not_built(self, monkeypatch, text,
                                                    leaves):
@@ -352,15 +354,24 @@ def test_proofs_do_not_depend_on_atom_creation_order():
 def test_proofs_do_not_depend_on_hash_seed():
     # Each formula below has a goal or a line target that instantiates both
     # Ax4 and Ax5, and its proof must take Ax4 under every hash seed.
-    # SchemeId members hash by name, so any set or dict of schemes on the
-    # way would iterate in an order set by the seed; CalculusId.ID.schemes
-    # is a tuple in SchemeId order, Ax4 first.
+    # Any set of schemes on the way would iterate in an order set by the
+    # seed or by object addresses; CalculusId.ID.schemes is a tuple in
+    # SchemeId order, Ax4 first, and so is the table's rows.
     formulas = ["p1 -> p1 v p1",
                 "p2 -> p1 -> p1 v p1",
                 "(p2 -> p2 v p2) v (p2 -> p1)",
                 "p1 v p2 -> (p1 v p2) v (p1 v p2)"]
     assert (_proof_texts("1,2", formulas, hash_seed="0")
             == _proof_texts("1,2", formulas, hash_seed="1"))
+
+
+def test_table_proofs_do_not_depend_on_hash_seed():
+    # its all-true leaf's line target instantiates a 7-node row of the
+    # principal-theorem table, which is the whole proof
+    formulas = ["p1 -> (p1 -> p2) -> p1 -> p2"]
+    text = _proof_texts("1,2", formulas, hash_seed="0")
+    assert text == _proof_texts("1,2", formulas, hash_seed="1")
+    assert text.count("\n") == 8   # the calculus line and 7 steps
 
 
 class TestDeriveFromHypotheses:

@@ -13,7 +13,7 @@ from posprop.proofio import write_text
 from posprop.semantics import is_tautology
 from posprop.transform import prove_I
 
-PINNED = "4aa2a16e125cdfaf161f0c32c8f771fb4cc81bdb2a6f49a25737a9a58439a7b6"
+PINNED = "391cff24d355eb0c423a6ea87d094f385cf57dd36d12f750abafd1233ea94509"
 
 
 def _tautologies(max_connectives, atom_indices, language):
