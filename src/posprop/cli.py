@@ -10,8 +10,12 @@ prefix and code (stderr unless marked):
     OSError, TacticError, CheckError      2  "error: "
     RecursionError                        2  "error: input nested too deeply"
 
+`parse` does not recurse, but raises RecursionError where a formula's open
+parentheses and pending connectives together pass the recursion limit; the
+functions that still recurse raise it on formulas nested nearly as deeply.
 A proof file nested too deeply to read is a ProofFormatError, so the
-RecursionError row is a formula argument or a synthesis nested too deeply.
+RecursionError row is a formula argument nested too deeply, or a synthesis
+or check that recursed too deeply.
 `check` of a proof that fails and `translate` of a proof it cannot map
 into I are those commands' own negatives, exit 1.
 """
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from functools import cache
 
 from .formula import ParseError, enumerate_formulas, parse, pretty, r_key
 from .kernel import (AxiomStep, CalculusId, CheckError, check, verify)
@@ -170,7 +175,9 @@ def _count(text: str) -> int:
     return n
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused."""
     p = argparse.ArgumentParser(prog="posprop",
                                 description="positive propositional proofs")
     sub = p.add_subparsers(dest="command", required=True)

@@ -137,81 +137,133 @@ class Conj(_Binary):
 # The symbols and the precedence order are read from the node classes.
 
 _CONNECTIVES = {c.symbol: c for c in (Impl, Disj, Conj)}
-_TOKEN_RE = re.compile(r"\s*(?:(%s|[()]|p[1-9][0-9]*)|(\S))"
+# One token per match; a lone \S that starts no token is the text's fault.
+_TOKEN_RE = re.compile(r"\s*(p[1-9][0-9]*|%s|[()]|\S)"
                        % "|".join(map(re.escape, _CONNECTIVES)))
 _ANY_TOKEN = f"a token ({', '.join(map(repr, [*_CONNECTIVES, '(', ')']))} or 'pN')"
+# parse's stack holds (precedence, connective, left operand) entries; a
+# '(' is _PAREN, and so is the bottom entry, which stands for the whole
+# formula: precedence 0 stops every reduction
+_BY_SYMBOL = {s: (c.precedence, c) for s, c in _CONNECTIVES.items()}
+_PAREN = (0, None, None)
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.group(2) is not None:
-            raise ParseError(m.start(2), _ANY_TOKEN, repr(m.group(2)))
-        tokens.append((m.group(1), m.start(1)))
-    return tokens
+def _is_token(tok: str) -> bool:
+    return (tok in _CONNECTIVES or tok in ("(", ")")
+            or (tok[0] == "p" and len(tok) > 1))
+
+
+def _error(text: str, index, expected, found=None):
+    """The error where token `index` (None: the end of input) is not the
+    `expected` one (None: where the nesting passes the recursion limit).
+    A character that starts no token is reported instead, wherever it is."""
+    tokens = list(_TOKEN_RE.finditer(text))
+    for m in tokens:
+        if not _is_token(m[1]):
+            return ParseError(m.start(1), _ANY_TOKEN, repr(m[1]))
+    if expected is None:
+        return RecursionError("formula nested deeper than the recursion limit")
+    if index is None:
+        return ParseError(len(text), expected, "end of input")
+    m = tokens[index]
+    return ParseError(m.start(1), expected, found or repr(m[1]))
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a Formula; raises ParseError on bad input."""
-    tokens = _tokenize(text)
-    end = len(tokens)
-    idx = 0
+    """Parse concrete syntax into a Formula; raises ParseError on bad input.
 
-    def fail(expected):
-        if idx < end:
-            raise ParseError(tokens[idx][1], expected, repr(tokens[idx][0]))
-        raise ParseError(len(text), expected, "end of input")
-
-    def operand(floor):
-        # A primary, then every connective binding at least as tightly as
-        # floor; the right operand's floor is the connective's own
-        # precedence, which makes each connective right-associative.
-        nonlocal idx
-        tok = tokens[idx][0] if idx < end else ""
-        if tok == "(":
-            idx += 1
-            lhs = operand(0)
-            if idx == end or tokens[idx][0] != ")":
-                fail("')'")
-        elif tok[:1] == "p":
-            try:
-                index = int(tok[1:])
-            except ValueError:  # more digits than int() converts
-                raise ParseError(
-                    tokens[idx][1], "an atom index of at most "
-                    f"{sys.get_int_max_str_digits()} digits",
-                    f"{len(tok) - 1} digits") from None
-            lhs = Atom(index)
+    One pass over the tokens, with an explicit stack of the open
+    parentheses and of the connectives whose right operand is pending.
+    Where a recursive-descent parser would pass the recursion limit, that
+    is, where that stack grows past it, this raises RecursionError too."""
+    limit = sys.getrecursionlimit()
+    stack = [_PAREN]
+    opened = 0      # the '(' entries on the stack
+    lhs = None      # the operand just completed; None while one is due
+    atoms: dict = {}
+    for i, tok in enumerate(_TOKEN_RE.findall(text)):
+        if lhs is None:
+            lhs = atoms.get(tok)
+            if lhs is not None:
+                continue
+            if tok[0] == "p" and len(tok) > 1:
+                try:
+                    lhs = atoms[tok] = Atom(int(tok[1:]))
+                except ValueError:  # more digits than int() converts
+                    raise _error(
+                        text, i, "an atom index of at most "
+                        f"{sys.get_int_max_str_digits()} digits",
+                        f"{len(tok) - 1} digits") from None
+                continue
+            if tok != "(":
+                raise _error(text, i, "an atom or '('")
+            opened += 1
+            stack.append(_PAREN)
+        elif tok in _BY_SYMBOL:
+            prec, ctor = _BY_SYMBOL[tok]
+            # right-associative: reduce only what binds strictly tighter
+            while stack[-1][0] > prec:
+                _, op, left = stack.pop()
+                lhs = op(left, lhs)
+            stack.append((prec, ctor, lhs))
+            lhs = None
+        elif tok == ")" and opened:
+            opened -= 1
+            _, op, left = stack.pop()
+            while op is not None:
+                lhs = op(left, lhs)
+                _, op, left = stack.pop()
+            continue
         else:
-            fail("an atom or '('")
-        idx += 1  # past the atom or the ')'
-        while idx < end:
-            ctor = _CONNECTIVES.get(tokens[idx][0])
-            if ctor is None or ctor.precedence < floor:
-                break
-            idx += 1
-            lhs = ctor(lhs, operand(ctor.precedence))
-        return lhs
-
-    result = operand(0)
-    if idx != end:
-        fail("end of input")
-    return result
+            raise _error(text, i, "')'" if opened else "end of input")
+        if len(stack) > limit:
+            raise _error(text, None, None)
+    if lhs is None:
+        raise _error(text, None, "an atom or '('")
+    if opened:
+        raise _error(text, None, "')'")
+    _, op, left = stack.pop()   # down to the bottom entry, as at a ')'
+    while op is not None:
+        lhs = op(left, lhs)
+        _, op, left = stack.pop()
+    return lhs
 
 
-def pretty(f: Formula) -> str:
+def pretty(f: Formula, memo: dict | None = None) -> str:
     """Render with minimal parentheses under the right-association
     convention: a left operand is parenthesized when it binds no tighter
-    than its parent, a right operand when it binds less tightly."""
-    if isinstance(f, Atom):
-        return f"p{f.index}"
-    left, right, prec = f.left, f.right, f.precedence
-    ls, rs = pretty(left), pretty(right)
-    if not isinstance(left, Atom) and left.precedence <= prec:
-        ls = f"({ls})"
-    if not isinstance(right, Atom) and right.precedence < prec:
-        rs = f"({rs})"
-    return f"{ls} {f.symbol} {rs}"
+    than its parent, a right operand when it binds less tightly.
+
+    `memo` maps formulas to their text and is filled in; calls that share
+    one print each distinct subformula once."""
+    if memo is None:
+        memo = {}
+    text = memo.get(f)
+    if text is not None:
+        return text
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if type(g) is Atom:
+            memo[g] = f"p{g.index}"
+            stack.pop()
+            continue
+        left, right = g.left, g.right
+        ls, rs = memo.get(left), memo.get(right)
+        if ls is None or rs is None:
+            if ls is None:
+                stack.append(left)
+            if rs is None and right is not left:
+                stack.append(right)
+            continue
+        prec = g.precedence
+        if type(left) is not Atom and left.precedence <= prec:
+            ls = f"({ls})"
+        if type(right) is not Atom and right.precedence < prec:
+            rs = f"({rs})"
+        memo[g] = f"{ls} {g.symbol} {rs}"
+        stack.pop()
+    return memo[f]
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,15 @@ _FIELDS = {"axiom": ("kind", "scheme", "formula"), "hyp": ("kind", "formula"),
 _STEP_RE = re.compile(r"([0-9]+)\. (axiom|hyp|mp) (.+)$")
 
 
-def _record(step) -> tuple:
-    """A step as its record: kind, operands (1-based step numbers), formula."""
+def _record(step, memo: dict) -> tuple:
+    """A step as its record: kind, operands (1-based step numbers), formula
+    (printed through `memo`)."""
     if isinstance(step, MPStep):
-        return "mp", step.major + 1, step.minor + 1, pretty(step.formula)
+        return "mp", step.major + 1, step.minor + 1, pretty(step.formula, memo)
     if isinstance(step, AxiomStep):
-        return "axiom", str(step.scheme), pretty(step.formula)
+        return "axiom", str(step.scheme), pretty(step.formula, memo)
     if isinstance(step, HypStep):
-        return "hyp", pretty(step.formula)
+        return "hyp", pretty(step.formula, memo)
     raise ProofFormatError(f"unknown step {step!r}")
 
 
@@ -79,10 +80,13 @@ def _assemble(fields, text: str) -> Derivation:
 
 
 def _fields(d: Derivation) -> tuple:
-    """The calculus name, hypotheses (sorted by R) and step records."""
+    """The calculus name, hypotheses (sorted by R) and step records; one
+    memo serves the whole derivation, so each distinct subformula is
+    printed once."""
+    memo: dict = {}
     return (str(d.calculus),
-            [pretty(h) for h in sorted(d.hypotheses, key=r_key)],
-            [_record(step) for step in d.steps])
+            [pretty(h, memo) for h in sorted(d.hypotheses, key=r_key)],
+            [_record(step, memo) for step in d.steps])
 
 
 def write_text(d: Derivation) -> str:

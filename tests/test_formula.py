@@ -5,11 +5,11 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from posprop.formula import (Atom, Conj, Disj, Impl, ParseError, atoms_of,
-                             compare_R, conj_chain, delta_set, disj_chain,
-                             enumerate_formulas, gamma_set, neg_encode, parse,
-                             pos_encode, pretty, r_key, r_sorted, replace_at,
-                             subformula_at, subformulas)
+from posprop.formula import (Atom, Conj, Disj, Formula, Impl, ParseError,
+                             atoms_of, compare_R, conj_chain, delta_set,
+                             disj_chain, enumerate_formulas, gamma_set,
+                             neg_encode, parse, pos_encode, pretty, r_key,
+                             r_sorted, replace_at, subformula_at, subformulas)
 from posprop.kernel import AxiomStep, CalculusId, Derivation, HypStep, SchemeId
 
 
@@ -76,6 +76,48 @@ class TestParse:
         assert pretty(parse("p1 -> (p2 -> p3)")) == "p1 -> p2 -> p3"
         assert pretty(parse("(p1 & p2) v p3")) == "p1 & p2 v p3"
         assert pretty(parse("(p1 v p2) & p3")) == "(p1 v p2) & p3"
+
+    @given(formulas(), st.data())
+    def test_redundant_parens_and_spacing(self, f, data):
+        def space():
+            return data.draw(st.text(" \t\n", max_size=2))
+
+        def show(g):
+            # pretty's parentheses, plus up to two redundant pairs anywhere
+            if isinstance(g, Atom):
+                text = f"p{g.index}"
+            else:
+                ls, rs = show(g.left), show(g.right)
+                if not isinstance(g.left, Atom) and g.left.precedence <= g.precedence:
+                    ls = f"({space()}{ls}{space()})"
+                if not isinstance(g.right, Atom) and g.right.precedence < g.precedence:
+                    rs = f"({space()}{rs}{space()})"
+                text = f"{ls}{space()}{g.symbol}{space()}{rs}"
+            for _ in range(data.draw(st.integers(0, 2))):
+                text = f"({space()}{text}{space()})"
+            return text
+
+        assert parse(space() + show(f) + space()) is f
+
+    @given(st.lists(st.sampled_from(["p1", "p2", "p10", "p", "0", "->", "-",
+                                     ">", "v", "&", "(", ")", " ", "x"]),
+                    max_size=12).map("".join))
+    def test_random_tokens_fail_only_with_parse_error(self, text):
+        try:
+            assert isinstance(parse(text), Formula)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text)
+
+    def test_redundant_parens_within_the_limit(self):
+        assert parse("(" * 500 + "p1 -> p1" + ")" * 500) is Impl(Atom(1), Atom(1))
+
+    def test_pretty_of_a_deep_formula(self):
+        f = Atom(1)
+        for _ in range(5000):
+            f = Impl(f, Atom(1))
+        text = pretty(f)
+        assert text.startswith("(" * 4999 + "p1 -> p1) -> p1) -> p1")
+        assert text.count("->") == 5000
 
 
 class TestInterning:

@@ -149,15 +149,27 @@ class TestCheck:
         assert codes(check(d)) == ["bad-axiom-instance"]
 
     def test_scheme_not_in_calculus(self):
+        # p1 -> p1 is in I's language, so only the scheme is at fault
+        d = Derivation(CalculusId.I, frozenset(),
+                       (AxiomStep(SchemeId.AX4, parse("p1 -> p1")),))
+        assert codes(check(d)) == ["scheme-not-in-calculus"]
+        # an instance of Ax4 mentions v, outside I's language, which is
+        # reported first
         d = Derivation(CalculusId.I, frozenset(),
                        (AxiomStep(SchemeId.AX4, parse("p1 -> p1 v p2")),))
-        # Ax4 also mentions v, outside I's language
-        assert "scheme-not-in-calculus" in codes(check(d)) or \
-            "fragment-violation" in codes(check(d))
+        assert codes(check(d)) == ["fragment-violation"]
 
     def test_undeclared_hypothesis(self):
         d = Derivation(CalculusId.I, frozenset(), (HypStep(Atom(1)),))
         assert codes(check(d)) == ["hypothesis-not-declared"]
+
+    def test_hypotheses_frozen_at_construction(self):
+        hyps = {Atom(1)}
+        d = Derivation(CalculusId.I, hyps, (HypStep(Atom(1)), HypStep(Atom(2))))
+        hyps.add(Atom(2))
+        assert d.hypotheses == frozenset([Atom(1)])
+        assert [(e.index, e.code) for e in check(d)] == \
+            [(1, "hypothesis-not-declared")]
 
     def test_mp_mismatch(self):
         d = Derivation(CalculusId.I, frozenset([Atom(1), Atom(2)]),
