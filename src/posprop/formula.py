@@ -269,23 +269,20 @@ def pretty(f: Formula, memo: dict | None = None) -> str:
 # ---------------------------------------------------------------------------
 # the order R
 
-def _serialize(f: Formula, out: list) -> None:
-    if isinstance(f, Atom):
-        out.append(0)
-        out.append(f.index)
-    else:
-        out.append(f.precedence)  # a connective's code in R
-        _serialize(f.left, out)
-        _serialize(f.right, out)
-
-
 @lru_cache(maxsize=65536)
 def r_key(f: Formula):
     """Sort key realizing the fixed linear order R: node count, then a
     canonical preorder serialization compared lexicographically.  On atoms
     this reduces to index order."""
     ser: list = []
-    _serialize(f, ser)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is Atom:
+            ser += (0, g.index)
+        else:
+            ser.append(g.precedence)  # a connective's code in R
+            stack += (g.right, g.left)
     return (f.size, tuple(ser))
 
 

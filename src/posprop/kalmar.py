@@ -17,10 +17,11 @@ never cites the split atom returns that child and builds no false
 subtree, one whose false child has a line proving its goal returns that
 line, and neither builds a discharge or join.  A line target that
 instantiates a row of the principal-theorem table (see principal) is
-that row's proof, which cites no atom; a node goal that instantiates a
-row is the target of its all-true leaf, and comes up through its true
-children (Peirce's law ((p1 -> p2) -> p1) -> p1 is one Ax3 step, and
-p1 -> p1 the 5-step identity proof).
+that row's proof, which cites no atom (a false atom's line p -> p is the
+identity row, so only a true atom is a hypothesis); a node goal that
+instantiates a row is the target of its all-true leaf, and comes up
+through its true children (Peirce's law ((p1 -> p2) -> p1) -> p1 is one
+Ax3 step, and p1 -> p1 the 5-step identity proof).
 
 The constructors, build_line, eliminate and synthesize return unchecked
 derivations; prove and derive_from_hypotheses run the kernel checker once
@@ -40,7 +41,7 @@ from .principal import derive
 from .semantics import evaluate, find_countermodel
 from .tactics import (ProofBuilder, TacticError, _compose, _conj_intro,
                       _deduction_body, _into, _prune as prune, _reroute, _route,
-                      deduction, hypothesis, l2_5, l2_13, l2_17, l2_25)
+                      deduction, hypothesis, l2_13, l2_17, l2_25)
 
 
 class NotTautology(ValueError):
@@ -202,10 +203,8 @@ def build_line(v: dict, a: Formula, calc: CalculusId) -> LineCertificate:
         tabled = derive(calc, gamma_set(v, f), _line_target(v, f))
         if tabled is not None:
             return tabled
-        if isinstance(f, Atom):
-            if v[f.index]:
-                return hypothesis(calc, f)
-            return l2_5(f, calc)
+        if isinstance(f, Atom):   # true: a false atom's p -> p is a row
+            return hypothesis(calc, f)
         if isinstance(f, Impl):
             if evaluate(v, f.right):
                 return lemma_3_1(v, f.left, f.right, rec(f.right))

@@ -14,7 +14,11 @@ the first call, so import builds nothing.  The 1-node rows are the schemes
 in SchemeId order; the rows of n nodes follow, generated by major premise
 in row order, then minor premise in row order, and a theorem keeps the
 first D-term that proves it.  `derive` gives a goal the proof of the first
-row it instantiates, so p1 -> p1 v p1 is Ax4.
+row it instantiates, so p1 -> p1 v p1 is Ax4.  `first_row` scans one
+bucket: the table lists each row, in rank order, under every goal shape
+(root connective and the kind of each child, Atom or a connective) an
+instance of its theorem can have, so a metavariable child lists it under
+every kind.
 
 A row keeps only its theorem and its D-term.  A node's cut formula, the
 conclusion of its minor premise, is worked out when the row is first used:
@@ -28,23 +32,23 @@ proof built from a row.
 
 from __future__ import annotations
 
-from .formula import Atom, Formula, Impl
+from .formula import Atom, Conj, Disj, Formula, Impl
 from .kernel import AxiomStep, CalculusId, Derivation, SchemeId
 from .tactics import ProofBuilder
 
 SIZES = {CalculusId.ID: 7, CalculusId.P: 5}   # most nodes of a row's D-term
 
 _TABLES: dict = {}   # calculus -> (rows, index), filled by table()
+_KINDS = (Atom, Impl, Disj, Conj)
 
 
 class Row:
     """A principal theorem, its number of metavariables, and a D-term
     proving it: a SchemeId, or the (major, minor) rows of its last MP."""
 
-    __slots__ = ("rank", "theorem", "arity", "dterm", "_cut")
+    __slots__ = ("theorem", "arity", "dterm", "_cut")
 
-    def __init__(self, rank: int, theorem, arity: int, dterm):
-        self.rank = rank
+    def __init__(self, theorem, arity: int, dterm):
         self.theorem = theorem
         self.arity = arity
         self.dterm = dterm
@@ -148,17 +152,11 @@ def _instance(t, theta: list) -> Formula:
     return t[0](_instance(t[1], theta), _instance(t[2], theta))
 
 
-def _key(p) -> tuple:
-    """The root connective and each child's, None for a metavariable."""
-    return (p[0], None if type(p[1]) is int else p[1][0],
-            None if type(p[2]) is int else p[2][0])
-
-
 # ---------------------------------------------------------------------------
 # the table
 
 def table(calc: CalculusId) -> tuple:
-    """calc's rows in rank order, and an index of them by _key."""
+    """calc's rows in rank order, and an index of them by goal shape."""
     built = _TABLES.get(calc)
     if built is None:
         built = _TABLES[calc] = _build(calc)
@@ -166,8 +164,8 @@ def table(calc: CalculusId) -> tuple:
 
 
 def _build(calc: CalculusId) -> tuple:
-    rows = [Row(i, _pattern(s.pattern), len(s.metavariables), s)
-            for i, s in enumerate(calc.schemes)]
+    rows = [Row(_pattern(s.pattern), len(s.metavariables), s)
+            for s in calc.schemes]
     by_size = {1: rows[:]}
     seen = {row.theorem for row in rows}
     for n in range(3, SIZES[calc] + 1, 2):
@@ -190,12 +188,16 @@ def _build(calc: CalculusId) -> tuple:
                     if theorem in seen:
                         continue
                     seen.add(theorem)
-                    level.append(Row(len(rows), theorem, names[None] + 1,
-                                     (major, minor)))
+                    level.append(Row(theorem, names[None] + 1, (major, minor)))
                     rows.append(level[-1])
+    # a shape is (root, left kind, right kind); a metavariable child admits
+    # every kind, and rows go in rank order, so each bucket is sorted
     index: dict = {}
     for row in rows:
-        index.setdefault(_key(row.theorem), []).append(row)
+        root, left, right = row.theorem
+        for lk in _KINDS if type(left) is int else (left[0],):
+            for rk in _KINDS if type(right) is int else (right[0],):
+                index.setdefault((root, lk, rk), []).append(row)
     return rows, index
 
 
@@ -204,18 +206,10 @@ def first_row(calc: CalculusId, goal: Formula):
     if type(goal) is Atom:
         return None
     _, index = table(calc)
-    left = (None,) if type(goal.left) is Atom else (type(goal.left), None)
-    right = (None,) if type(goal.right) is Atom else (type(goal.right), None)
-    best = None
-    for lk in left:
-        for rk in right:
-            for row in index.get((type(goal), lk, rk), ()):
-                if best is not None and row.rank > best.rank:
-                    break
-                if _match(row.theorem, goal, [None] * row.arity):
-                    best = row
-                    break
-    return best
+    for row in index.get((type(goal), type(goal.left), type(goal.right)), ()):
+        if _match(row.theorem, goal, [None] * row.arity):
+            return row
+    return None
 
 
 def _emit(b: ProofBuilder, row: Row, goal: Formula) -> int:

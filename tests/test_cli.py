@@ -6,7 +6,7 @@ import pytest
 from posprop.cli import main
 from posprop.formula import parse
 from posprop.kernel import CalculusId, check
-from posprop.proofio import from_json, read_text
+from posprop.proofio import from_json, read_text, write_text
 
 
 def run(capsys, *argv):
@@ -51,6 +51,14 @@ class TestProve:
         d = read_text(out)
         assert d.conclusion == parse("p1 & p2 -> p2 & p1")
         assert check(d) == []
+
+    def test_ic(self, capsys):
+        code, out, _ = run(capsys, "prove", "p1 & p2 -> p2 & p1", "-c", "IC")
+        assert code == 0
+        d = read_text(out)
+        assert d.calculus is CalculusId.IC
+        assert d.conclusion == parse("p1 & p2 -> p2 & p1")
+        assert check(d) == [] and not d.hypotheses
 
     def test_reduction_route_wrong_calculus(self, capsys):
         code, _, err = run(capsys, "prove", "p1 -> p1", "-c", "I",
@@ -107,6 +115,17 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 1
         assert out == "step 2: forward-reference: MP cites steps 3, 1\n"
+
+    def test_hypothesis_nested_near_the_recursion_limit(self, capsys, tmp_path):
+        # parse takes a chain this deep, and so must sorting the hypotheses
+        # by R and printing them
+        chain = " -> ".join(["p1"] * (sys.getrecursionlimit() - 5))
+        text = f"calculus: I\nhyp: {chain}\n1. hyp {chain}\n"
+        path = tmp_path / "deep.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0 and out.startswith("ok: 1 steps in I")
+        assert write_text(read_text(text)) == text
 
     def test_hypotheses_listed_in_R_order(self, capsys, tmp_path):
         # as the proof file lists them: p2 precedes p10 in R, not in str

@@ -11,7 +11,8 @@ import posprop.kalmar as kalmar
 from posprop.formula import (Atom, Disj, Impl, atoms_of, delta_set,
                              disj_chain, enumerate_formulas, gamma_set,
                              neg_encode, parse, pos_encode)
-from posprop.kernel import AxiomStep, CalculusId, SchemeId, check
+from posprop.kernel import AxiomStep, CalculusId, MPStep, SchemeId, check
+from posprop.proofio import write_text
 from posprop.semantics import assignments_over, evaluate, is_tautology
 from posprop.kalmar import (LineCertificate, NotTautology, build_line,
                             derive_from_hypotheses, eliminate, lemma_3_1,
@@ -67,6 +68,8 @@ class TestLemmaConstructors:
         d = lemma_3_2(v, Atom(1), Atom(2), da)
         assert d.conclusion == parse("p1 v p2 v (p1 -> p2)")
         assert check(d) == []
+        with pytest.raises(TacticError, match="3.2 needs the antecedent false"):
+            lemma_3_2({1: True, 2: False}, Atom(1), Atom(2), da)
 
     def test_3_3(self):
         v = {1: True, 2: False}
@@ -75,6 +78,8 @@ class TestLemmaConstructors:
         d = lemma_3_3(v, Atom(1), Atom(2), da, db)
         assert d.conclusion == parse("(p1 -> p2) -> p2")
         assert check(d) == []
+        with pytest.raises(TacticError, match="3.3 needs the consequent false"):
+            lemma_3_3({1: True, 2: True}, Atom(1), Atom(2), da, da)
 
     def test_3_4(self):
         v = {1: True, 2: False}
@@ -109,6 +114,8 @@ class TestLemmaConstructors:
         db = build_line(v, Atom(2), CalculusId.ID).derivation
         d = lemma_3_5(v, Atom(1), Atom(2), da, db)
         assert d.conclusion == parse("p1 v p2 -> p1 v p2")
+        with pytest.raises(TacticError, match="3.5 needs both disjuncts false"):
+            lemma_3_5({1: False, 2: True}, Atom(1), Atom(2), da, db)
 
     def test_4_1_no_deltas(self):
         v = {1: True, 2: True}
@@ -117,6 +124,8 @@ class TestLemmaConstructors:
         d = lemma_4_1(v, Atom(1), Atom(2), da, db)
         assert d.conclusion == parse("p1 & p2")
         assert d.hypotheses == frozenset([Atom(1), Atom(2)])
+        with pytest.raises(TacticError, match="4.1 needs both conjuncts true"):
+            lemma_4_1({1: True, 2: False}, Atom(1), Atom(2), da, db)
 
     def test_4_1_encoded(self):
         a, b = parse("p1 v p3"), Atom(2)
@@ -145,9 +154,16 @@ class TestBuildLine:
         _cert_ok(cert)
 
     def test_atom_negative(self):
-        cert = build_line({1: False}, Atom(1), CalculusId.ID)
-        assert cert.derivation.conclusion == parse("p1 -> p1")
-        assert not cert.derivation.hypotheses
+        # p1 -> p1 is the identity row of both tables: Ax2, Ax1, Ax1, MP, MP
+        for calc in (CalculusId.ID, CalculusId.P):
+            cert = build_line({1: False}, Atom(1), calc)
+            assert cert.derivation.conclusion == parse("p1 -> p1")
+            assert not cert.derivation.hypotheses
+            steps = cert.derivation.steps
+            assert sorted(s.scheme.name for s in steps if isinstance(s, AxiomStep)) \
+                == ["AX1", "AX1", "AX2"]
+            assert sum(isinstance(s, MPStep) for s in steps) == 2
+            _cert_ok(cert)
 
     def test_implication_true_false(self):
         cert = build_line({1: True, 2: False}, parse("p1 -> p2"), CalculusId.ID)
@@ -315,6 +331,34 @@ class TestProve:
             else:
                 with pytest.raises(NotTautology):
                     prove(f, CalculusId.ID)
+
+
+def test_line_cache_bound(monkeypatch):
+    # a full cache is emptied before its next entry, so it never holds more
+    # than the limit, and proofs built across the clears are unchanged
+    cases = [(parse(text), calc) for text, calc in [
+        ("(p1 -> p2) v (p2 -> p1)", CalculusId.ID),
+        ("((p1 -> p2) -> p3) -> (p3 -> p1) -> p3 v p1", CalculusId.ID),
+        ("p1 v p2 & p3 -> (p1 v p2) & (p1 v p3)", CalculusId.P)]]
+    monkeypatch.setattr(kalmar, "_LINE_CACHE", {})
+    unbounded = [write_text(prove(f, calc)) for f, calc in cases]
+
+    class Cache(dict):
+        peak = clears = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            self.peak = max(self.peak, len(self))
+
+        def clear(self):
+            self.clears += 1
+            super().clear()
+
+    cache = Cache()
+    monkeypatch.setattr(kalmar, "_LINE_CACHE", cache)
+    monkeypatch.setattr(kalmar, "_LINE_CACHE_LIMIT", 8)
+    assert [write_text(prove(f, calc)) for f, calc in cases] == unbounded
+    assert cache.clears > 1 and cache.peak == 8
 
 
 # Atoms hash by identity, so a set of atoms iterates in an order set by

@@ -335,6 +335,10 @@ class TestGoldenLemmas:
             lemma(LemmaId.L2_11, [P1, P2], CalculusId.I)
         with pytest.raises(TacticError):
             lemma(LemmaId.L2_25, [P1, P2, P3], CalculusId.ID)
+        # a calculus with the schemes, but an argument outside its fragment
+        with pytest.raises(CheckError) as exc:
+            lemma(LemmaId.L2_5, [parse("p1 v p2")], CalculusId.I)
+        assert [e.code for e in exc.value.errors] == ["fragment-violation"]
 
     def test_arity_checked(self):
         with pytest.raises(TacticError):

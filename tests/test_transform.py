@@ -89,6 +89,8 @@ class TestGamma:
         f = parse("p1 -> p2")
         pair = gamma_equivalence(f)
         assert pair.left == pair.right == f
+        with pytest.raises(TacticError):
+            gamma_equivalence(parse("p1 & p2 -> p1"), CalculusId.ID)
 
 
 class TestDecompose:
@@ -239,6 +241,10 @@ class TestRoutes:
         assert d.calculus is CalculusId.IC
         assert d.conclusion == f and not d.hypotheses
         assert check(d) == []
+
+    def test_prove_IC_fragment_checked(self):
+        with pytest.raises(TacticError):
+            prove_IC(parse("p1 v p2 -> p2 v p1"))
 
     def test_prove_IC_countermodel(self):
         with pytest.raises(NotTautology) as exc:
