@@ -136,6 +136,8 @@ def _json_fields(text: str) -> tuple:
     doc = json.loads(text)
     if type(doc["hypotheses"]) is not list or type(doc["steps"]) is not list:
         raise ProofFormatError("hypotheses and steps must be lists")
+    if any(type(step) is not dict for step in doc["steps"]):
+        raise ProofFormatError("every step must be an object")
     return doc["calculus"], doc["hypotheses"], [
         tuple(map(step.__getitem__, _FIELDS[step["kind"]]))
         for step in doc["steps"]]

@@ -18,14 +18,16 @@ one; `deduction` discharges into a fresh builder.
 The central tool is ProofBuilder, which accumulates steps, deduplicates
 lines by formula (a sound peephole: an identical earlier line under the
 same hypotheses proves the same thing), splices existing derivations with
-index re-offsetting, and drops the steps a conclusion does not cite when
-it freezes a derivation (by _prune, kept here with `hypothesis` so that
-the kernel only checks); freezing appends nothing, so a builder can be
-frozen at several lines.  The moves on its lines are each written once:
-_conj_intro (Ax9), _conj_elim (Ax7/Ax8), and _route, which carries one
-disjunction tree into another by Ax4/Ax5 injections and Ax6 splits
-(_reroute and _into apply it to a line; case analysis on x v y is
-_reroute with the lines x -> t and y -> t as leaves).  Conjunction trees
+index re-offsetting (an empty builder adopts the steps of the first one
+as they are, unless it repeats a formula), and drops the steps a
+conclusion does not cite when it freezes a derivation (by _prune, kept
+here with `hypothesis` so that the kernel only checks); freezing appends
+nothing, so a builder can be frozen at several lines.  The moves on its
+lines are each written once: _conj_intro (Ax9), _conj_elim (Ax7/Ax8),
+and _route, which carries one disjunction tree into another by Ax4/Ax5
+injections and Ax6 splits (_reroute and _into apply it to a line; case
+analysis on x v y is _reroute with the lines x -> t and y -> t as
+leaves).  Conjunction trees
 are torn down only by _extract_conjuncts and rebuilt only by
 _rebuild_conjunction (conjoin, split_conjunction, conj_reassociation and
 the & congruence).  _congruence has one case per connective.  The
@@ -71,15 +73,16 @@ def _prune(d: Derivation) -> Derivation:
             stack.append(s.minor)
     if all(needed):
         return d
-    remap: dict = {}
-    out: list = []
-    for i, s in enumerate(steps):
-        if not needed[i]:
-            continue
-        if type(s) is MPStep:
-            s = MPStep(remap[s.major], remap[s.minor], s.formula)
-        remap[i] = len(out)
-        out.append(s)
+    first = needed.index(False)     # the steps before it keep their places
+    remap = list(range(len(steps)))
+    out = list(steps[:first])
+    for i in range(first + 1, len(steps)):
+        if needed[i]:
+            s = steps[i]
+            if type(s) is MPStep:
+                s = MPStep(remap[s.major], remap[s.minor], s.formula)
+            remap[i] = len(out)
+            out.append(s)
     return Derivation(d.calculus, d.hypotheses, tuple(out))
 
 
@@ -119,9 +122,17 @@ class ProofBuilder:
 
     def include(self, d: Derivation, hyp_map=None) -> int:
         """Splice a derivation; hyp_map routes hypothesis citations to
-        already-present lines instead of HypSteps."""
+        already-present lines instead of HypSteps.  An empty builder given
+        no hyp_map adopts d's steps as they are, unless d repeats a formula:
+        then, as into any other builder, d is copied line by line through
+        mp and the formula table, which drops the repeats."""
         if not self.calculus.extends(d.calculus):
             raise TacticError(f"cannot splice {d.calculus} into {self.calculus}")
+        if not self.steps and not hyp_map:
+            index = {s.formula: i for i, s in enumerate(d.steps)}
+            if len(index) == len(d.steps):
+                self.steps, self._by_formula = list(d.steps), index
+                return len(d.steps) - 1
         hyp_map = hyp_map or {}
         mapping = {}
         for i, step in enumerate(d.steps):

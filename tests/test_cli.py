@@ -201,8 +201,15 @@ _LONG = "9" * (sys.get_int_max_str_digits() + 1)   # more than int() converts
     ("check", "calculus: I\nhyp: p1\n\u0661. hyp p1\n", "malformed proof file:"),
     ("check", "calculus: I\nhyp: p1\n1. hyp p1\n2. mp \u0661 \u0661 p1\n",
      "malformed proof file:"),
+    ("check", '{"calculus": "I", "hypotheses": [], "steps": [5]}',
+     "malformed proof file:"),
+    ("check", '{"calculus": "I", "hypotheses": [], "steps": [null]}',
+     "malformed proof file:"),
+    ("check", '{"calculus": "I", "hypotheses": [], "steps": [true]}',
+     "malformed proof file:"),
 ], ids=["atom", "step-number", "mp-index", "json-integer", "deep-nesting",
-        "non-ascii-step-number", "non-ascii-mp-index"])
+        "non-ascii-step-number", "non-ascii-mp-index", "json-step-number",
+        "json-step-null", "json-step-true"])
 def test_oversized_integer_exits_2(capsys, tmp_path, command, text, prefix):
     arg = text
     if command == "check":

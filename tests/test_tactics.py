@@ -6,7 +6,9 @@ from posprop.kernel import (AxiomStep, CalculusId, CheckError, Derivation,
                             HypStep, MPStep, SchemeId, check, verify)
 from posprop.semantics import entails, evaluate, assignments_over
 from posprop.formula import atoms_of
-from posprop.kalmar import build_line, prove
+from posprop import kalmar
+from posprop.kalmar import build_line, derive_from_hypotheses, prove
+from posprop.proofio import read_text
 from posprop.tactics import (DERIVABILITY, THESIS, EquivalencePair, LemmaId,
                              ProofBuilder, TacticError, as_derivability,
                              as_thesis, biconditional_to_pair, compose_pairs,
@@ -124,6 +126,19 @@ class TestPrune:
     def test_fully_live_returned_unchanged(self):
         d = hypothesis(CalculusId.I, Atom(1))
         assert prune(d) is d
+
+    def test_keeps_the_prefix_before_the_first_dead_step(self):
+        imp, imp24 = parse("p1 -> p2"), parse("p2 -> p4")
+        d = Derivation(CalculusId.I, frozenset([imp, P1, P3, imp24]),
+                       (HypStep(imp), HypStep(P1), MPStep(0, 1, P2),
+                        HypStep(P3),                  # dead
+                        HypStep(imp24), MPStep(4, 2, Atom(4))))
+        out = prune(d)
+        assert out.steps == (HypStep(imp), HypStep(P1), MPStep(0, 1, P2),
+                             HypStep(imp24), MPStep(3, 2, Atom(4)))
+        assert all(x is y for x, y in zip(out.steps[:3], d.steps))
+        assert out.hypotheses == d.hypotheses
+        assert check(out) == []
 
 
 class TestDeduction:
@@ -561,7 +576,65 @@ class TestConjunctions:
             conjoin([d])
 
 
+def _splice_line_by_line(d):
+    """A fresh builder holding d copied a line at a time, through the
+    formula table and, for an MP step, through mp; and d's last line."""
+    b = ProofBuilder(d.calculus)
+    lines = []
+    for s in d.steps:
+        lines.append(b.mp(lines[s.major], lines[s.minor])
+                     if isinstance(s, MPStep) else b._add(s))
+    return b, lines[-1]
+
+
 class TestProofBuilder:
+    @given(formulas(max_depth=3),
+           st.lists(st.booleans(), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_empty_builder_adopts_what_a_splice_would_copy(self, f, values):
+        v = {i + 1: value for i, value in enumerate(values)}
+        d = build_line(v, f, CalculusId.P).derivation
+        b = ProofBuilder(CalculusId.P)
+        line = b.include(d)
+        spliced, spliced_line = _splice_line_by_line(d)
+        assert line == spliced_line
+        assert b.steps == spliced.steps
+        assert b._by_formula == spliced._by_formula
+        assert all(x is y for x, y in zip(b.steps, d.steps))  # adopted
+
+    def test_repeated_formula_is_deduplicated(self):
+        d = read_text("calculus: I\nhyp: p1\n1. hyp p1\n"
+                      "2. axiom Ax1 p1 -> p2 -> p1\n3. hyp p1\n"
+                      "4. mp 2 3 p2 -> p1\n")
+        b = ProofBuilder(CalculusId.I)
+        line = b.include(d)
+        assert b.steps == [HypStep(P1),
+                           AxiomStep(SchemeId.AX1, parse("p1 -> p2 -> p1")),
+                           MPStep(1, 0, parse("p2 -> p1"))]
+        assert line == 2
+        assert b._by_formula == {s.formula: i for i, s in enumerate(b.steps)}
+
+    def test_adopted_corruption_is_rejected_at_the_exit(self, monkeypatch):
+        # adoption copies no MP through mp, so it does not raise the
+        # TacticError a line-by-line splice would; the exit's check rejects
+        real = kalmar.synthesize
+
+        def corrupted(a, calc):    # the first MP's major premise, an axiom
+            d = real(a, calc)
+            i = next(s for s in d.steps if isinstance(s, MPStep)).major
+            bad = AxiomStep(d.steps[i].scheme, Atom(9))
+            return Derivation(d.calculus, d.hypotheses,
+                              d.steps[:i] + (bad,) + d.steps[i + 1:])
+
+        monkeypatch.setattr(kalmar, "synthesize", corrupted)
+        hyps = [parse("p1 -> p2"), parse("p2 -> p3")]
+        bad = corrupted(parse("(p1 -> p2) -> (p2 -> p3) -> p1 -> p3"),
+                        CalculusId.ID)
+        with pytest.raises(TacticError):
+            _splice_line_by_line(bad)
+        with pytest.raises(CheckError):
+            derive_from_hypotheses(hyps, parse("p1 -> p3"), CalculusId.ID)
+
     def test_dedup(self):
         b = ProofBuilder(CalculusId.I)
         i = b.axiom(SchemeId.AX1, A=P1, B=P2)
